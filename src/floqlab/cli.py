@@ -110,30 +110,29 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
-    if args.config is None:
-        return args
-    with args.config.open("r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    block = overrides.get(args.command, overrides)
-    merged = vars(args).copy()
-    explicit = _explicit_flags(argv)
+def _config_flags(path: Path, command: str, namespace: dict) -> list:
+    """The config file's block for this command, spelled as --flag=value.
+
+    Keys that are not options of the command are ignored; null keeps the
+    built-in default.  A switch takes true or false.
+    """
+    with path.open("r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    block = data.get(command, data) if isinstance(data, dict) else data
+    if not isinstance(block, dict):
+        raise ValueError("expected a JSON object")
+    flags = []
     for key, value in block.items():
-        attr = key.replace("-", "_")
-        if attr in merged and attr not in explicit:
-            if attr == "frame" and args.command in ("spectrum", "edges", "pulses"):
-                value = parse_frame(value)
-            merged[attr] = value
-    return argparse.Namespace(**merged)
-
-
-def _explicit_flags(argv):
-    # flags given on the command line win over the config file
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return explicit
+        dest = key.replace("-", "_")
+        if dest not in namespace or value is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(namespace[dest], bool) and isinstance(value, bool):
+            if value:
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def cmd_phase_diagram(args) -> int:
@@ -265,6 +264,19 @@ def cmd_quench(args) -> int:
     return 0
 
 
+def _write_spectrum_csv(output_dir: Path, frame: Frame, spectrum, h: str) -> None:
+    write_csv(
+        output_dir / f"spectrum_{frame.value}.csv",
+        ["index", "phase", "edge_weight_left", "edge_weight_right"],
+        [
+            (i, float(spectrum.phases[i]),
+             float(spectrum.edge_weight_left[i]), float(spectrum.edge_weight_right[i]))
+            for i in range(len(spectrum.phases))
+        ],
+        h,
+    )
+
+
 def cmd_spectrum(args) -> int:
     cfg = {
         "command": "spectrum",
@@ -284,16 +296,7 @@ def cmd_spectrum(args) -> int:
         args.edge_cells,
     )
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        args.output_dir / f"spectrum_{args.frame.value}.csv",
-        ["index", "phase", "edge_weight_left", "edge_weight_right"],
-        [
-            (i, float(spectrum.phases[i]),
-             float(spectrum.edge_weight_left[i]), float(spectrum.edge_weight_right[i]))
-            for i in range(len(spectrum.phases))
-        ],
-        h,
-    )
+    _write_spectrum_csv(args.output_dir, args.frame, spectrum, h)
     print(f"spectrum: {len(spectrum.phases)} states -> {args.output_dir}")
     return 0
 
@@ -317,16 +320,7 @@ def cmd_edges(args) -> int:
     )
     spectrum = lattice_spectrum(params, args.frame, args.length, "open", args.edge_cells)
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        args.output_dir / f"spectrum_{args.frame.value}.csv",
-        ["index", "phase", "edge_weight_left", "edge_weight_right"],
-        [
-            (i, float(spectrum.phases[i]),
-             float(spectrum.edge_weight_left[i]), float(spectrum.edge_weight_right[i]))
-            for i in range(len(spectrum.phases))
-        ],
-        h,
-    )
+    _write_spectrum_csv(args.output_dir, args.frame, spectrum, h)
     write_json(
         args.output_dir / "edges.json",
         {
@@ -378,7 +372,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
-    args = _apply_config_file(args, argv)
+    if args.config is not None:
+        # config flags go before the command line's own, so explicit flags win
+        try:
+            flags = _config_flags(args.config, args.command, vars(args))
+        except (OSError, ValueError) as exc:
+            parser.error(f"config file {args.config}: {exc}")
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
         return args.func(args)
     except FloqlabError as exc:

@@ -9,18 +9,15 @@ class DegenerateAxisError(FloqlabError):
     """Rotation axis has zero norm but the angle is nonzero."""
 
 
-class NonUnitaryError(FloqlabError):
-    """A matrix expected to be unitary is not, beyond tolerance."""
-
-
 class GaplessPointError(FloqlabError):
     """Quasienergy at this momentum sits on a gap closing; the Bloch axis
     is undefined there."""
 
 
 class InsufficientResolutionError(FloqlabError):
-    """The winding integrator could not bound the per-step angle change
-    even at the maximum grid size."""
+    """A grid-based winding integrator could not bound its per-step angle
+    change.  The package counts windings exactly and no longer raises this;
+    it stays defined for code that catches it."""
 
 
 class NoBisError(FloqlabError):

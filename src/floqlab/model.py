@@ -89,7 +89,7 @@ def _axis_field(k, params: ModelParams, frame: Frame, tol_gap: float):
 
     The frame operators are SU(2) products, so their raw Pauli moments
     i*tr(U sigma)/2 are already real and equal sin(E)*n on the full branch;
-    pauli_decompose's c0 >= 0 phase convention would instead mirror the
+    fixing the global phase so that tr(U)/2 >= 0 would instead mirror the
     axis wherever cos E < 0, which makes the field discontinuous in k.
     """
     if frame not in (Frame.SYM1, Frame.SYM2):

@@ -5,16 +5,11 @@ of shape (..., 2, 2); leading axes are broadcast, so the same functions
 serve single matrices and stacked momentum grids.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import DegenerateAxisError, NonUnitaryError
+from .errors import DegenerateAxisError
 
-# Absolute tolerance for algebraic identities (unitarity, reconstruction).
-ATOL = 1e-12
-
-# Unitarity pre-check used by pauli_decompose.
+# Default tolerance of is_unitary.
 UNITARY_CHECK_TOL = 1e-9
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -23,19 +18,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-class PauliCoeffs(NamedTuple):
-    """Coefficients of U = c0*I - i*(cx*sx + cy*sy + cz*sz), global phase
-    fixed so that c0 is real and >= 0."""
-
-    c0: complex
-    cx: complex
-    cy: complex
-    cz: complex
-
-    def reconstruct(self) -> np.ndarray:
-        return pauli_reconstruct(self)
 
 
 def su2_exp(axis, angle) -> np.ndarray:
@@ -66,52 +48,6 @@ def is_unitary(u, tol: float = UNITARY_CHECK_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     prod = u @ np.conj(np.swapaxes(u, -1, -2))
     return bool(np.max(np.abs(prod - IDENTITY)) <= tol)
-
-
-def pauli_decompose(u) -> PauliCoeffs:
-    """Decompose a 2x2 unitary (or a stack of them) into Pauli coefficients.
-
-    The global phase is rotated so that c0 is real and nonnegative; for
-    U = exp(-i E n.sigma) this returns c0 = cos(E), c = sin(E) * n with
-    E in [0, pi/2].  Raises NonUnitaryError when U fails the unitarity
-    pre-check.
-    """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
-        raise NonUnitaryError("pauli_decompose: input is not unitary")
-    c0 = np.trace(u, axis1=-2, axis2=-1) / 2.0
-    cx = 1j * np.trace(u @ SIGMA_X, axis1=-2, axis2=-1) / 2.0
-    cy = 1j * np.trace(u @ SIGMA_Y, axis1=-2, axis2=-1) / 2.0
-    cz = 1j * np.trace(u @ SIGMA_Z, axis1=-2, axis2=-1) / 2.0
-    phase = _fixing_phase(c0, cx, cy, cz)
-    return PauliCoeffs(c0 * phase, cx * phase, cy * phase, cz * phase)
-
-
-def _fixing_phase(c0, cx, cy, cz):
-    """Phase factor making c0 real >= 0; for c0 == 0 the largest remaining
-    coefficient is made real positive instead (so U and -U decompose
-    identically, resolving the SU(2) double cover)."""
-    c0 = np.asarray(c0)
-    cs = np.stack(np.broadcast_arrays(np.asarray(cx), np.asarray(cy), np.asarray(cz)), axis=0)
-    dominant = np.take_along_axis(
-        cs, np.argmax(np.abs(cs), axis=0)[None, ...], axis=0
-    )[0]
-    ref = np.where(np.abs(c0) > 1e-13, c0, dominant)
-    mag = np.abs(ref)
-    return np.where(mag == 0.0, 1.0 + 0.0j, np.conj(ref) / np.where(mag == 0.0, 1.0, mag))
-
-
-def pauli_reconstruct(coeffs) -> np.ndarray:
-    """Inverse of pauli_decompose: c0*I - i*(c . sigma)."""
-    c0, cx, cy, cz = (np.asarray(c, dtype=complex) for c in coeffs)
-    return (
-        c0[..., None, None] * IDENTITY
-        - 1j * (
-            cx[..., None, None] * SIGMA_X
-            + cy[..., None, None] * SIGMA_Y
-            + cz[..., None, None] * SIGMA_Z
-        )
-    )
 
 
 def expectation(state, axis: str) -> float:

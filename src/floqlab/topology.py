@@ -6,12 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientResolutionError
-from .model import Frame, ModelParams, axis_field, brillouin_grid, quasienergy
+from .errors import GaplessPointError
+from .model import TOL_GAP, Frame, ModelParams, axis_field, brillouin_grid, quasienergy
 
 DEFAULT_RESOLUTION = 2048
-MIN_RESOLUTION = 256
-RESOLUTION_CAP = 2**20
 
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
@@ -20,39 +18,51 @@ BOUNDARY_TOL = 1e-3
 INTEGRAL_TOL = 1e-3
 
 
-def _planar_angle(k, params, frame):
-    _, n = axis_field(k, params, frame)
-    return np.arctan2(n[..., 1], n[..., 0])
+def _crossing_count(drive: float, other: float) -> int:
+    """Signed crossings of one frame's planar field through its half axis.
+
+    The crossings are the band-inversion momenta drive * f(k) = m pi, with
+    f = sin in SYM1 (drive ty) and f = cos in SYM2 (drive tx).  With g the
+    complementary function, the two zeros of f(k) = m pi / drive have
+    g(k) = +-sqrt(1 - (m pi / drive)^2).  There the partner component is
+    (-1)^m sin(other * g(k)), of magnitude sin E, and a zero with a positive
+    partner counts sign((-1)^m drive g(k)).  Where two zeros merge
+    (|drive| = m pi, g = 0) the gap is the distance of |drive| to the
+    nearest multiple of pi instead.
+    """
+    amplitude = abs(drive)
+    if abs(amplitude - np.pi * np.rint(amplitude / np.pi)) < TOL_GAP:
+        raise GaplessPointError(
+            "gapless point: merging band inversions within tol_gap of 0 or pi"
+        )
+    top = np.floor(amplitude / np.pi)
+    m = np.arange(-top, top + 1.0)
+    g = np.sqrt(1.0 - (m * np.pi / drive) ** 2)
+    g = np.concatenate([g, -g])
+    parity = np.tile(1.0 - 2.0 * (m % 2), 2)
+    partner = parity * np.sin(other * g)
+    if np.any(np.abs(partner) < TOL_GAP):
+        raise GaplessPointError(
+            "gapless point: band inversion within tol_gap of 0 or pi"
+        )
+    return int(np.sum(np.where(partner > 0.0, parity * np.sign(drive * g), 0.0)))
 
 
-def winding_number(
-    params: ModelParams,
-    frame: Frame,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> int:
+def winding_number(params: ModelParams, frame: Frame) -> int:
     """Winding of the planar Bloch axis over one Brillouin zone.
 
-    Accumulates wrapped atan2 increments around the closed loop, doubling
-    the grid until every step satisfies |dphi| < pi/2 (integer-valued by
-    construction).  Raises GaplessPointError on a gapless grid point and
-    InsufficientResolutionError if the step bound fails at the cap.
+    Counted exactly from the band-inversion points.  With theta_x = tx cos k
+    and theta_y = ty sin k, the SYM1 field sin(E) n = (sin theta_x
+    cos theta_y, sin theta_y) winds by its signed crossings of the +x half
+    axis, the SYM2 field (sin theta_x, cos theta_x sin theta_y) by those of
+    the +y half axis.  Every gap closing of the drive lies on one of these
+    points; GaplessPointError is raised when the gap there is below TOL_GAP.
     """
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
-    res = int(resolution)
-    while True:
-        phi = _planar_angle(brillouin_grid(res), params, frame)
-        dphi = np.diff(np.concatenate([phi, phi[:1]]))
-        dphi = (dphi + np.pi) % (2.0 * np.pi) - np.pi
-        if np.max(np.abs(dphi)) < np.pi / 2.0:
-            break
-        if res >= RESOLUTION_CAP:
-            raise InsufficientResolutionError(
-                "insufficient resolution: per-step angle bound unmet at cap"
-            )
-        res = min(2 * res, RESOLUTION_CAP)
-    total = dphi.sum() / (2.0 * np.pi)
-    return int(np.rint(total))
+    if frame is Frame.SYM1:
+        return _crossing_count(params.ty, params.tx)
+    if frame is Frame.SYM2:
+        return _crossing_count(params.tx, params.ty)
+    raise ValueError("winding is defined for the symmetric frames only")
 
 
 def winding_integral(
@@ -82,12 +92,10 @@ class InvariantPair:
     nu_pi: int
 
 
-def gap_invariants(
-    params: ModelParams, resolution: int = DEFAULT_RESOLUTION
-) -> InvariantPair:
+def gap_invariants(params: ModelParams) -> InvariantPair:
     """nu0 = (nu1 + nu2)/2 and nu_pi = (nu1 - nu2)/2 from the two frames."""
-    nu1 = winding_number(params, Frame.SYM1, resolution)
-    nu2 = winding_number(params, Frame.SYM2, resolution)
+    nu1 = winding_number(params, Frame.SYM1)
+    nu2 = winding_number(params, Frame.SYM2)
     if (nu1 + nu2) % 2:
         raise RuntimeError(
             f"parity violation: frame windings {nu1}, {nu2} differ in parity"
@@ -185,7 +193,7 @@ def _evaluate_cell(args) -> PhaseDiagramCell:
     gpi = min_gap(params, "pi", resolution)
     if g0 < boundary_tol or gpi < boundary_tol:
         return PhaseDiagramCell(tx, ty, True, g0, gpi, None)
-    inv = gap_invariants(params, resolution)
+    inv = gap_invariants(params)
     return PhaseDiagramCell(tx, ty, False, g0, gpi, inv)
 
 

@@ -17,6 +17,21 @@ def random_su2(rng, size=None):
     return su2_exp(axis, angle)
 
 
+def grid_winding(params, frame, resolution):
+    """Raw winding of the planar Bloch axis accumulated on a momentum grid.
+
+    Sums the wrapped atan2 increments around the closed loop; the result is
+    an integer up to rounding while every step turns the axis by less than pi.
+    """
+    from floqlab.model import axis_field, brillouin_grid
+
+    _, n = axis_field(brillouin_grid(resolution), params, frame)
+    phi = np.arctan2(n[:, 1], n[:, 0])
+    dphi = np.diff(np.concatenate([phi, phi[:1]]))
+    dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
+    return dphi.sum() / (2 * np.pi)
+
+
 def random_nonboundary_params(rng, count, gap_floor=0.05, resolution=1024):
     """Seeded (tx, ty) samples in [0, 3pi]^2 with both gaps open."""
     from floqlab.topology import min_gap

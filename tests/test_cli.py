@@ -207,3 +207,34 @@ class TestConfigFile:
         report = read_json(out / "bis_report.json")
         assert report["config"]["steps"] == 10      # from the config file
         assert report["config"]["grid"] == 128      # explicit flag wins
+
+    def test_config_string_value_gets_the_flag_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pulses": {"periods": "3"}}))
+        rc = main(["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+                   "--omega-ref", "1e6", "--config", str(cfg), "-o", str(tmp_path)])
+        assert rc == 0
+        assert read_json(tmp_path / "schedule.json")["config"]["periods"] == 3
+
+    def test_explicit_output_dir_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pulses": {"output_dir": str(tmp_path / "cfg_out")}}))
+        out = tmp_path / "o"
+        rc = main(["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+                   "--omega-ref", "1e6", "--config", str(cfg), "-o", str(out)])
+        assert rc == 0
+        assert (out / "schedule.json").exists()
+        assert not (tmp_path / "cfg_out").exists()
+
+    @pytest.mark.parametrize(
+        "block",
+        [{"steps": "many"}, {"steps": 2.5}, {"frame": "sym3"}, {"shots": [1]}],
+    )
+    def test_rejected_config_value_prints_usage(self, tmp_path, capsys, block):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quench": block}))
+        with pytest.raises(SystemExit) as exc:
+            main(["quench", "--tx", "0.5pi", "--ty", "0.5pi",
+                  "--config", str(cfg), "-o", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

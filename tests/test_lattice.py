@@ -125,7 +125,7 @@ class TestEdgeModes:
             rng, 8, gap_floor=0.4
         )
         for params in params_list:
-            inv = gap_invariants(params, 512)
+            inv = gap_invariants(params)
             n_zero, n_pi = count_edge_modes(params, Frame.SYM1, 160)
             assert (n_zero, n_pi) == (2 * abs(inv.nu0), 2 * abs(inv.nu_pi))
 

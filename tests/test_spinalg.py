@@ -5,17 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import random_su2
 from floqlab import spinalg
-from floqlab.errors import DegenerateAxisError, NonUnitaryError
-from floqlab.spinalg import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    expectation,
-    pauli_decompose,
-    pauli_reconstruct,
-    spin_state,
-    su2_exp,
-)
+from floqlab.errors import DegenerateAxisError
+from floqlab.spinalg import IDENTITY, SIGMA_X, expectation, spin_state, su2_exp
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -47,71 +38,15 @@ def test_unitarity_drift_over_long_products(rng):
     assert np.max(np.abs(u @ u.conj().T - IDENTITY)) < 1e-9
 
 
-def test_decompose_reconstruct_roundtrip(rng):
-    for u in random_su2(rng, size=200):
-        # include a random global phase: pauli_decompose must undo it
-        u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * u
-        coeffs = pauli_decompose(u)
-        v = pauli_reconstruct(coeffs)
-        assert spinalg.is_unitary(v, 1e-12)
-        # reconstruction matches the phase-normalized input
-        overlap = np.abs(np.trace(u.conj().T @ v)) / 2.0
-        assert abs(overlap - 1.0) < 1e-12
-        assert coeffs.c0.imag == pytest.approx(0.0, abs=1e-12)
-        assert coeffs.c0.real >= -1e-12
-
-
-def test_decompose_identity():
-    c = pauli_decompose(IDENTITY)
-    assert np.allclose([c.c0, c.cx, c.cy, c.cz], [1, 0, 0, 0], atol=1e-15)
-
-
-def test_decompose_quarter_turn_about_y():
-    c = pauli_decompose(su2_exp(YHAT, np.pi / 2))
-    assert abs(c.c0) < 1e-15
-    assert c.cy == pytest.approx(1.0, abs=1e-15)
-    assert abs(c.cx) < 1e-15 and abs(c.cz) < 1e-15
-
-
-def test_decompose_frame_operator_against_quasienergy_formula():
-    # chiral frame at (tx, ty, k) = (pi/2, pi/2, pi/4): cz vanishes and
-    # c0 equals cos E with E = arccos(cos(tx cos k) cos(ty sin k))
-    tx = ty = 0.5 * np.pi
-    k = 0.25 * np.pi
-    thx, thy = tx * np.cos(k), ty * np.sin(k)
-    u = su2_exp(XHAT, thx / 2) @ su2_exp(YHAT, thy) @ su2_exp(XHAT, thx / 2)
-    c = pauli_decompose(u)
-    expected_c0 = np.cos(thx) * np.cos(thy)
-    assert abs(c.cz) < 1e-12
-    assert c.c0.real == pytest.approx(expected_c0, abs=1e-12)
-
-
-def test_norm_identity_for_unitaries(rng):
-    for u in random_su2(rng, size=50):
-        c = pauli_decompose(u)
-        total = abs(c.c0) ** 2 + abs(c.cx) ** 2 + abs(c.cy) ** 2 + abs(c.cz) ** 2
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
 def test_double_cover(rng):
-    # exp(-i(theta+pi) n.sigma) = -exp(-i theta n.sigma): U and -U are the
-    # same rotation and must decompose identically under the c0 >= 0 rule
+    # exp(-i(theta+pi) n.sigma) = -exp(-i theta n.sigma): a half turn of
+    # the angle flips the sign, a full turn restores the operator
     for _ in range(20):
         axis = rng.normal(size=3)
         theta = rng.uniform(0, 2 * np.pi)
         u = su2_exp(axis, theta)
         assert np.allclose(su2_exp(axis, theta + 2 * np.pi), u, atol=1e-12)
-        v = su2_exp(axis, theta + np.pi)
-        assert np.allclose(v, -u, atol=1e-12)
-        cu, cv = pauli_decompose(u), pauli_decompose(v)
-        assert np.allclose(
-            [cu.c0, cu.cx, cu.cy, cu.cz], [cv.c0, cv.cx, cv.cy, cv.cz], atol=1e-12
-        )
-
-
-def test_nonunitary_rejected():
-    with pytest.raises(NonUnitaryError):
-        pauli_decompose(np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex))
+        assert np.allclose(su2_exp(axis, theta + np.pi), -u, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import CASE1, CASE2, random_nonboundary_params
+from conftest import CASE1, CASE2, grid_winding, random_nonboundary_params
 from floqlab.errors import GaplessPointError
 from floqlab.model import Frame, ModelParams, brillouin_grid, quasienergy
 from floqlab.topology import (
     InvariantPair,
+    _cell_centers,
     gap_invariants,
     min_gap,
     phase_diagram,
@@ -43,31 +46,49 @@ class TestWindingNumber:
 
     def test_integer_quantization(self, rng):
         # raw accumulated winding deviates from an integer by < 1e-6
-        from floqlab.model import axis_field
-
         for params in random_nonboundary_params(rng, 25):
             for frame in (Frame.SYM1, Frame.SYM2):
-                _, n = axis_field(brillouin_grid(4096), params, frame)
-                phi = np.arctan2(n[:, 1], n[:, 0])
-                dphi = np.diff(np.concatenate([phi, phi[:1]]))
-                dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
-                total = dphi.sum() / (2 * np.pi)
+                total = grid_winding(params, frame, 4096)
                 assert abs(total - round(total)) < 1e-6
 
-    def test_resolution_stability(self, rng, sym_frame):
-        for params in random_nonboundary_params(rng, 6):
-            w1 = winding_number(params, sym_frame, 512)
-            w2 = winding_number(params, sym_frame, 1024)
-            w4 = winding_number(params, sym_frame, 4096)
-            assert w1 == w2 == w4
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tx=st.floats(0.0, 3 * np.pi, allow_nan=False),
+        ty=st.floats(0.0, 3 * np.pi, allow_nan=False),
+    )
+    def test_matches_grid_winding_oracle(self, tx, ty):
+        # keep points whose gaps stay open on a fine grid; E(k) moves by at
+        # most (tx + ty) * h / 2 < 0.01 between grid points, so both true
+        # gaps exceed 0.04 and each oracle step turns the axis far below pi
+        params = ModelParams(tx, ty)
+        energies = quasienergy(brillouin_grid(8192), params)
+        assume(energies.min() >= 0.05 and np.pi - energies.max() >= 0.05)
+        nu1 = winding_number(params, Frame.SYM1)
+        nu2 = winding_number(params, Frame.SYM2)
+        assert nu1 == round(grid_winding(params, Frame.SYM1, 8192))
+        assert nu2 == round(grid_winding(params, Frame.SYM2, 8192))
+        assert (nu1 + nu2) % 2 == 0
 
     def test_gapless_grid_point_rejected(self):
         with pytest.raises(GaplessPointError):
             winding_number(ModelParams(np.pi, 0.5 * np.pi), Frame.SYM1)
+        # ty = pi: the two band inversions of m = 1 merge at k = pi/2, E = pi
+        with pytest.raises(GaplessPointError):
+            winding_number(ModelParams(1.3, np.pi), Frame.SYM1)
 
-    def test_resolution_floor(self):
+    def test_plain_frame_rejected(self):
         with pytest.raises(ValueError):
-            winding_number(CASE1, Frame.SYM1, resolution=64)
+            winding_number(CASE1, Frame.PLAIN)
+
+    def test_cells_next_to_zero_gap_closing(self):
+        # default-grid cells beside the closing curve (pi/tx)^2 + (pi/ty)^2 = 1,
+        # where a grid winding could not resolve the field
+        centers = _cell_centers(0.0, 3 * np.pi, 60)
+        for tx, ty in ((centers[21], centers[54]), (centers[54], centers[21])):
+            params = ModelParams(tx, ty)
+            assert winding_number(params, Frame.SYM1) == 3
+            assert winding_number(params, Frame.SYM2) == 3
+            assert gap_invariants(params) == InvariantPair(3, 0)
 
 
 class TestGapInvariants:
@@ -147,8 +168,8 @@ class TestPhaseDiagram:
     def test_invariant_changes_cross_gap_closings(self):
         # crossing tx = pi at small ty flips nu_pi and leaves nu0 alone;
         # the pi gap (not the zero gap) must close in between
-        left = gap_invariants(ModelParams(0.8 * np.pi, 0.3), 512)
-        right = gap_invariants(ModelParams(1.2 * np.pi, 0.3), 512)
+        left = gap_invariants(ModelParams(0.8 * np.pi, 0.3))
+        right = gap_invariants(ModelParams(1.2 * np.pi, 0.3))
         assert left.nu0 == right.nu0
         assert left.nu_pi != right.nu_pi
         gaps_pi = [
