@@ -51,22 +51,22 @@ class TestWindingNumber:
                 total = grid_winding(params, frame, 4096)
                 assert abs(total - round(total)) < 1e-6
 
+    @pytest.mark.parametrize("frame", [Frame.SYM1, Frame.SYM2], ids=["sym1", "sym2"])
     @settings(max_examples=60, deadline=None)
     @given(
         tx=st.floats(0.0, 3 * np.pi, allow_nan=False),
         ty=st.floats(0.0, 3 * np.pi, allow_nan=False),
     )
-    def test_matches_grid_winding_oracle(self, tx, ty):
+    def test_matches_grid_winding_oracle(self, frame, tx, ty):
         # keep points whose gaps stay open on a fine grid; E(k) moves by at
         # most (tx + ty) * h / 2 < 0.01 between grid points, so both true
         # gaps exceed 0.04 and each oracle step turns the axis far below pi
         params = ModelParams(tx, ty)
         energies = quasienergy(brillouin_grid(8192), params)
         assume(energies.min() >= 0.05 and np.pi - energies.max() >= 0.05)
+        assert winding_number(params, frame) == round(grid_winding(params, frame, 8192))
         nu1 = winding_number(params, Frame.SYM1)
         nu2 = winding_number(params, Frame.SYM2)
-        assert nu1 == round(grid_winding(params, Frame.SYM1, 8192))
-        assert nu2 == round(grid_winding(params, Frame.SYM2, 8192))
         assert (nu1 + nu2) % 2 == 0
 
     def test_gapless_grid_point_rejected(self):
