@@ -3,8 +3,8 @@
 Angles are accepted either in radians (plain numbers) or in units of pi
 with a trailing "pi", e.g. --tx 0.5pi.  An optional JSON config file
 provides per-command defaults that explicit flags override.  Exit codes:
-0 success, 1 I/O or usage error, 2 no band inversion found, 3 pulse
-verification failure.
+0 success, 1 usage error, invalid value or I/O error, 2 no band inversion
+found, 3 pulse verification failure.
 """
 
 import argparse
@@ -29,8 +29,12 @@ VERIFY_DISTANCE = 1e-10
 def parse_angle(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("pi"):
-        return float(text[:-2] or "1") * np.pi
-    return float(text)
+        value = float(text[:-2] or "1") * np.pi
+    else:
+        value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"angle must be finite: {text}")
+    return value
 
 
 def parse_frame(text: str) -> Frame:
@@ -43,8 +47,16 @@ def _add_common(parser):
     parser.add_argument("-o", "--output-dir", type=Path, default=Path("."))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; argparse's own 2 means "no band inversion" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="floqlab", description=__doc__)
+    top = _Parser(prog="floqlab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -57,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=60, help="cells per axis")
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p.add_argument("--boundary-tol", type=float, default=BOUNDARY_TOL)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: FLOQLAB_WORKERS or 1)")
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("quench", help="quench traces and BIS winding report")
@@ -151,7 +161,6 @@ def cmd_phase_diagram(args) -> int:
         cells=args.cells,
         resolution=args.resolution,
         boundary_tol=args.boundary_tol,
-        workers=args.workers,
     )
     rows = []
     counts = {}
@@ -381,7 +390,7 @@ def main(argv=None) -> int:
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
         return args.func(args)
-    except FloqlabError as exc:
+    except (FloqlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

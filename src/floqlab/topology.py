@@ -1,7 +1,5 @@
 """Winding numbers, gap invariants, and the (tx, ty) phase diagram."""
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +184,9 @@ def _cell_centers(lo: float, hi: float, count: int) -> np.ndarray:
     return lo + step * (np.arange(count) + 0.5)
 
 
-def _evaluate_cell(args) -> PhaseDiagramCell:
-    tx, ty, resolution, boundary_tol = args
+def _evaluate_cell(
+    tx: float, ty: float, resolution: int, boundary_tol: float
+) -> PhaseDiagramCell:
     params = ModelParams(tx, ty)
     g0 = min_gap(params, 0, resolution)
     gpi = min_gap(params, "pi", resolution)
@@ -197,42 +196,22 @@ def _evaluate_cell(args) -> PhaseDiagramCell:
     return PhaseDiagramCell(tx, ty, False, g0, gpi, inv)
 
 
-def default_workers() -> int:
-    env = os.environ.get("FLOQLAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def phase_diagram(
     tx_range=(0.0, 3.0 * np.pi),
     ty_range=(0.0, 3.0 * np.pi),
     cells: int | tuple = 60,
     resolution: int = DEFAULT_RESOLUTION,
     boundary_tol: float = BOUNDARY_TOL,
-    workers: int | None = None,
 ) -> PhaseDiagram:
-    """Invariants over a (tx, ty) grid of cell centers.
-
-    Cells are independent; with workers > 1 they are evaluated in a process
-    pool in fixed chunks, and results are reassembled in grid order, so the
-    output is identical for any worker count.
-    """
+    """Invariants over a (tx, ty) grid of cell centers, row-major, ty fastest."""
     nx, ny = (cells, cells) if np.isscalar(cells) else cells
     txs = _cell_centers(tx_range[0], tx_range[1], nx)
     tys = _cell_centers(ty_range[0], ty_range[1], ny)
-    tasks = [
-        (float(tx), float(ty), resolution, boundary_tol)
+    results = [
+        _evaluate_cell(float(tx), float(ty), resolution, boundary_tol)
         for tx in txs
         for ty in tys
     ]
-    workers = default_workers() if workers is None else max(1, workers)
-    if workers == 1:
-        results = [_evaluate_cell(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_cell, tasks, chunksize=chunk))
     return PhaseDiagram(
         tx_range=(float(tx_range[0]), float(tx_range[1])),
         ty_range=(float(ty_range[0]), float(ty_range[1])),

@@ -135,6 +135,13 @@ class TestPhaseDiagramCommand:
         assert len(rows) == 4
         assert all((int(r["nu0"]), int(r["nu_pi"])) == (1, 0) for r in rows)
 
+    def test_determinism(self, tmp_path):
+        a = tmp_path / "a"
+        b = tmp_path / "b"
+        for out in (a, b):
+            assert run(["phase-diagram", "--cells", "3", "--resolution", "512"], out) == 0
+        assert (a / "phase_diagram.csv").read_bytes() == (b / "phase_diagram.csv").read_bytes()
+
 
 class TestEdgesAndSpectrumCommands:
     def test_edges_case1(self, tmp_path):
@@ -236,5 +243,43 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["quench", "--tx", "0.5pi", "--ty", "0.5pi",
                   "--config", str(cfg), "-o", str(tmp_path)])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["phase-diagram", "--cells", "0"],
+            ["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"],
+            ["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"],
+            ["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"],
+            ["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+             "--omega-ref", "0"],
+            ["quench", "--tx", "nan", "--ty", "0.5pi"],
+            ["quench", "--tx", "0.5pi", "--ty", "-infpi"],
+        ],
+        ids=["cells", "steps", "edges-length", "spectrum-length", "omega-ref",
+             "nan-angle", "inf-angle"],
+    )
+    def test_exits_1_with_message(self, tmp_path, capsys, args):
+        try:
+            rc = run(args, tmp_path)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_missing_required_flag_exits_1(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["quench", "--tx", "0.5pi"], tmp_path)
+        assert exc.value.code == 1
+        assert "--ty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
