@@ -37,6 +37,20 @@ def parse_angle(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
+
+
 def parse_frame(text: str) -> Frame:
     return Frame(text.lower())
 
@@ -67,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ty-min", type=parse_angle, default=0.0)
     p.add_argument("--ty-max", type=parse_angle, default=3 * np.pi)
     p.add_argument("--cells", type=int, default=60, help="cells per axis")
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    p.add_argument("--boundary-tol", type=float, default=BOUNDARY_TOL)
+    p.add_argument("--resolution", type=positive_int, default=DEFAULT_RESOLUTION)
+    p.add_argument("--boundary-tol", type=positive_float, default=BOUNDARY_TOL)
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("quench", help="quench traces and BIS winding report")
@@ -77,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", choices=["sym1", "sym2", "both"], default="both")
     p.add_argument("--steps", type=int, default=60)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=positive_int, default=512)
     p.add_argument("--shots", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--floor-tol", type=float, default=None)
+    p.add_argument("--floor-tol", type=positive_float, default=None)
     p.set_defaults(func=cmd_quench)
 
     p = sub.add_parser("spectrum", help="open/periodic lattice eigenphases")
@@ -90,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--length", type=int, default=40, help="unit cells")
     p.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    p.add_argument("--edge-cells", type=int, default=None)
+    p.add_argument("--edge-cells", type=positive_int, default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("edges", help="count 0- and pi-gap edge modes")
@@ -99,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--length", type=int, default=40)
-    p.add_argument("--e-tol", type=float, default=1e-3)
-    p.add_argument("--edge-cells", type=int, default=None)
-    p.add_argument("--weight-tol", type=float, default=0.5)
+    p.add_argument("--e-tol", type=positive_float, default=1e-3)
+    p.add_argument("--edge-cells", type=positive_int, default=None)
+    p.add_argument("--weight-tol", type=positive_float, default=0.5)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("pulses", help="compile a frame evolution to pulses")
@@ -111,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--periods", type=int, default=1)
-    p.add_argument("--omega-ref", type=float, required=True,
+    p.add_argument("--omega-ref", type=positive_float, required=True,
                    help="reference Rabi rate (rad/s); no physical default")
     p.add_argument("--keep-zero-pulses", action="store_true")
     p.add_argument("--verify", action="store_true",
@@ -228,8 +242,7 @@ def cmd_quench(args) -> int:
             seed=args.seed,
         )
         trace = evolve_polarizations(spec)
-        sx = trace.sx_sampled if trace.sx_sampled is not None else trace.sx_avg
-        sy = trace.sy_sampled if trace.sy_sampled is not None else trace.sy_avg
+        sx, sy = trace.measured
         ex = trace.sx_stderr if trace.sx_stderr is not None else np.zeros_like(sx)
         ey = trace.sy_stderr if trace.sy_stderr is not None else np.zeros_like(sy)
         write_csv(

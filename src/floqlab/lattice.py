@@ -11,6 +11,8 @@ so Bloch-diagonalizing the periodic matrices reproduces the momentum-space
 step Hamiltonians exactly.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,31 +31,29 @@ def default_edge_cells(cells: int) -> int:
 
 
 def build_real_space_step(
-    params: ModelParams, which: str, cells: int, boundary: str = "open"
+    params: ModelParams, axis: str, cells: int, boundary: str = "open"
 ) -> np.ndarray:
-    """Hermitian step Hamiltonian on `cells` unit cells (2*cells levels)."""
+    """Hermitian step Hamiltonian about `axis` ("x" or "y") on `cells` unit
+    cells (2*cells levels)."""
     if cells < 4:
         raise ValueError("need at least 4 unit cells")
     if boundary not in ("open", "periodic"):
         raise ValueError("boundary must be 'open' or 'periodic'")
-    if which == "H2":
+    if axis == "x":
         block = (params.tx / 2.0) * spinalg.SIGMA_X
-    elif which == "H1":
+    elif axis == "y":
         block = (1j * params.ty / 2.0) * spinalg.SIGMA_Y
     else:
-        raise ValueError("which must be 'H1' or 'H2'")
-    dim = 2 * cells
-    h = np.zeros((dim, dim), dtype=complex)
-    for j in range(cells - 1):
-        h[2 * (j + 1) : 2 * (j + 2), 2 * j : 2 * (j + 1)] = block
-        h[2 * j : 2 * (j + 1), 2 * (j + 1) : 2 * (j + 2)] = block.conj().T
-    if boundary == "periodic":
-        h[0:2, dim - 2 : dim] = block
-        h[dim - 2 : dim, 0:2] = block.conj().T
-    return h
+        raise ValueError("axis must be 'x' or 'y'")
+    # h[cell, level, cell, level]; the periodic chain adds the bond L-1 -> 0
+    h = np.zeros((cells, 2, cells, 2), dtype=complex)
+    j = np.arange(cells if boundary == "periodic" else cells - 1)
+    h[(j + 1) % cells, :, j] = block  # c_{j+1}^dag block c_j
+    h[j, :, (j + 1) % cells] = block.conj().T
+    return h.reshape(2 * cells, 2 * cells)
 
 
-def _unitary_exp(h: np.ndarray, factor: float = 1.0) -> np.ndarray:
+def _unitary_exp(h: np.ndarray, factor: float) -> np.ndarray:
     """exp(-i*factor*h) for Hermitian h via eigendecomposition (exactly
     unitary up to roundoff, which is what the 1e-9 budget needs)."""
     w, v = np.linalg.eigh(h)
@@ -64,17 +64,15 @@ def real_space_floquet(
     params: ModelParams, frame: Frame, cells: int, boundary: str = "open"
 ) -> np.ndarray:
     """One-period evolution operator on the lattice in the given frame."""
-    h1 = build_real_space_step(params, "H1", cells, boundary)
-    h2 = build_real_space_step(params, "H2", cells, boundary)
-    if frame is Frame.PLAIN:
-        return _unitary_exp(h2) @ _unitary_exp(h1)
-    if frame is Frame.SYM1:
-        half = _unitary_exp(h2, 0.5)
-        return half @ _unitary_exp(h1) @ half
-    if frame is Frame.SYM2:
-        half = _unitary_exp(h1, 0.5)
-        return half @ _unitary_exp(h2) @ half
-    raise ValueError(f"unknown frame {frame!r}")
+    exps = {
+        (axis, share): _unitary_exp(
+            build_real_space_step(params, axis, cells, boundary), share
+        )
+        for axis, share in set(frame.steps)
+    }
+    return functools.reduce(
+        operator.matmul, [exps[step] for step in reversed(frame.steps)]
+    )
 
 
 @dataclass
@@ -125,6 +123,8 @@ def lattice_spectrum(
     if edge_cells is None:
         edge_cells = default_edge_cells(cells)
     u = real_space_floquet(params, frame, cells, boundary)
+    if not 1 <= edge_cells <= cells // 2:
+        raise ValueError(f"edge_cells must lie in 1..{cells // 2}")
     phases, states = diagonalize_unitary(u)
     density = np.abs(states) ** 2
     left = density[: 2 * edge_cells, :].sum(axis=0)

@@ -12,9 +12,12 @@ first):
 SYM1 and SYM2 are the two chiral-symmetric starting points of the same
 period; their axis-field windings give the two gap invariants.  SYM1 is
 the frame whose axis-field y component vanishes only where sin(theta_y)
-does, which is what the y-direction quench protocol probes.
+does, which is what the y-direction quench protocol probes.  Frame.steps
+holds each product as data, and every layer that builds a frame reads it.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,14 +29,30 @@ from .errors import GaplessPointError
 # Quasienergy distance to 0 or pi below which the axis is declared undefined.
 TOL_GAP = 1e-9
 
-_XHAT = np.array([1.0, 0.0, 0.0])
-_YHAT = np.array([0.0, 1.0, 0.0])
+_UNIT = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0])}
 
 
 class Frame(Enum):
     PLAIN = "plain"
     SYM1 = "sym1"
     SYM2 = "sym2"
+
+    @property
+    def steps(self) -> tuple:
+        """One period's rotations, first applied first, as (axis, share)
+        pairs: the step rotates about `axis` by share * theta_axis."""
+        return {
+            "plain": (("y", 1), ("x", 1)),
+            "sym1": (("x", 0.5), ("y", 1), ("x", 0.5)),
+            "sym2": (("y", 0.5), ("x", 1), ("y", 0.5)),
+        }[self.value]
+
+    @property
+    def quench_axis(self) -> int:
+        """Index (0 = x, 1 = y) of the axis this frame's quench probes."""
+        if self is Frame.PLAIN:
+            raise ValueError("the plain frame has no quench axis; use a symmetric frame")
+        return 1 if self is Frame.SYM1 else 0
 
 
 @dataclass(frozen=True)
@@ -64,18 +83,12 @@ def step_angles(k, params: ModelParams):
 
 def floquet_operator(k, params: ModelParams, frame: Frame) -> np.ndarray:
     """One-period evolution operator at momentum k (broadcasts over k)."""
-    thx, thy = step_angles(k, params)
-    rx = spinalg.su2_exp(_XHAT, thx)
-    ry = spinalg.su2_exp(_YHAT, thy)
-    if frame is Frame.PLAIN:
-        return rx @ ry
-    if frame is Frame.SYM1:
-        rxh = spinalg.su2_exp(_XHAT, thx / 2.0)
-        return rxh @ ry @ rxh
-    if frame is Frame.SYM2:
-        ryh = spinalg.su2_exp(_YHAT, thy / 2.0)
-        return ryh @ rx @ ryh
-    raise ValueError(f"unknown frame {frame!r}")
+    theta = dict(zip("xy", step_angles(k, params)))
+    rotations = [
+        spinalg.su2_exp(_UNIT[axis], share * theta[axis])
+        for axis, share in reversed(frame.steps)
+    ]
+    return functools.reduce(operator.matmul, rotations)
 
 
 def quasienergy(k, params: ModelParams):
@@ -84,16 +97,16 @@ def quasienergy(k, params: ModelParams):
     return np.arccos(np.clip(np.cos(thx) * np.cos(thy), -1.0, 1.0))
 
 
-def _axis_field(k, params: ModelParams, frame: Frame, tol_gap: float):
-    """(E, n) arrays over k, with n on the full branch E in [0, pi].
+def axis_field(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP):
+    """Vectorized bloch_axis: (E array, n array of shape (..., 3)), with n
+    on the full branch E in [0, pi].
 
     The frame operators are SU(2) products, so their raw Pauli moments
     i*tr(U sigma)/2 are already real and equal sin(E)*n on the full branch;
     fixing the global phase so that tr(U)/2 >= 0 would instead mirror the
     axis wherever cos E < 0, which makes the field discontinuous in k.
     """
-    if frame not in (Frame.SYM1, Frame.SYM2):
-        raise ValueError("axis field is defined for the symmetric frames only")
+    frame.quench_axis  # raises for the plain frame
     k = np.asarray(k, dtype=float)
     energy = quasienergy(k, params)
     sin_e = np.sin(energy)
@@ -118,13 +131,8 @@ def bloch_axis(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP) -
 
     Raises GaplessPointError when E(k) is within tol_gap of 0 or pi.
     """
-    energy, n = _axis_field(float(k), params, frame, tol_gap)
+    energy, n = axis_field(float(k), params, frame, tol_gap)
     return BlochAxis(energy=float(energy), n=n)
-
-
-def axis_field(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP):
-    """Vectorized bloch_axis: returns (E array, n array of shape (..., 3))."""
-    return _axis_field(k, params, frame, tol_gap)
 
 
 def brillouin_grid(resolution: int) -> np.ndarray:

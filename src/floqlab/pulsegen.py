@@ -32,10 +32,14 @@ _PHASE_AXIS = {
 
 @dataclass(frozen=True)
 class Pulse:
-    axis: str           # 'x' or 'y'
     phase_deg: int      # 0 | 90 | 180 | 270
     angle: float        # radians, >= 0
     duration: float     # seconds
+
+    @property
+    def axis(self) -> str:
+        """'x' or 'y', the rotation axis up to sign."""
+        return "x" if self.phase_deg in (0, 180) else "y"
 
     def rotation_axis(self) -> np.ndarray:
         return _PHASE_AXIS[self.phase_deg]
@@ -71,39 +75,24 @@ class PulseSchedule:
     def from_dict(cls, data: dict) -> "PulseSchedule":
         if data.get("format") != SCHEDULE_FORMAT:
             raise ValueError(f"unsupported schedule format {data.get('format')!r}")
-        sched = cls(omega_ref=float(data["omega_ref_hz"]))
-        for entry in data["pulses"]:
-            phase = int(entry["phase_deg"])
-            axis = "x" if phase in (0, 180) else "y"
-            sched.pulses.append(
-                Pulse(
-                    axis=axis,
-                    phase_deg=phase,
-                    angle=float(entry["angle_rad"]),
-                    duration=float(entry["duration_s"]),
-                )
-            )
-        return sched
+        pulses = [
+            Pulse(int(e["phase_deg"]), float(e["angle_rad"]), float(e["duration_s"]))
+            for e in data["pulses"]
+        ]
+        return cls(omega_ref=float(data["omega_ref_hz"]), pulses=pulses)
 
 
 def _make_pulse(axis: str, angle: float, omega_ref: float) -> Pulse:
     base = 0 if axis == "x" else 90
     phase = base if angle >= 0 else base + 180
     mag = abs(angle)
-    return Pulse(axis=axis, phase_deg=phase, angle=mag, duration=mag / omega_ref)
+    return Pulse(phase_deg=phase, angle=mag, duration=mag / omega_ref)
 
 
 def _period_steps(k: float, params: ModelParams, frame: Frame):
     """(axis, signed angle) per pulse for one period, first-applied first."""
-    thx, thy = step_angles(k, params)
-    thx, thy = float(thx), float(thy)
-    if frame is Frame.PLAIN:
-        return [("y", thy), ("x", thx)]
-    if frame is Frame.SYM1:
-        return [("x", thx / 2.0), ("y", thy), ("x", thx / 2.0)]
-    if frame is Frame.SYM2:
-        return [("y", thy / 2.0), ("x", thx), ("y", thy / 2.0)]
-    raise ValueError(f"unknown frame {frame!r}")
+    theta = dict(zip("xy", map(float, step_angles(k, params))))
+    return [(axis, share * theta[axis]) for axis, share in frame.steps]
 
 
 def compile_schedule(

@@ -45,8 +45,7 @@ class QuenchSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frame not in (Frame.SYM1, Frame.SYM2):
-            raise ValueError("quench runs in a symmetric frame")
+        self.frame.quench_axis  # raises for the plain frame
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.shots is not None and self.shots < 1:
@@ -67,18 +66,21 @@ class PolarizationTrace:
     sy_stderr: np.ndarray | None = None
 
     @property
+    def measured(self) -> tuple:
+        """Measured (x, y) time averages: the sampled ones if present."""
+        if self.sx_sampled is not None:
+            return self.sx_sampled, self.sy_sampled
+        return self.sx_avg, self.sy_avg
+
+    @property
     def quench_avg(self) -> np.ndarray:
-        """Measured time average along the quench axis (sampled if present)."""
-        if self.spec.frame is Frame.SYM1:
-            return self.sy_sampled if self.sy_sampled is not None else self.sy_avg
-        return self.sx_sampled if self.sx_sampled is not None else self.sx_avg
+        """Measured time average along the quench axis."""
+        return self.measured[self.spec.frame.quench_axis]
 
     @property
     def orth_avg(self) -> np.ndarray:
         """Measured time average orthogonal to the quench axis."""
-        if self.spec.frame is Frame.SYM1:
-            return self.sx_sampled if self.sx_sampled is not None else self.sx_avg
-        return self.sy_sampled if self.sy_sampled is not None else self.sy_avg
+        return self.measured[1 - self.spec.frame.quench_axis]
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,7 @@ class BisReport:
 
 def initial_state(frame: Frame) -> np.ndarray:
     """Deep-trivial ground state: the -1 eigenstate of the quench axis."""
-    if frame is Frame.SYM1:
-        return spinalg.spin_state([1.0, -1.0j])   # sigma_y = -1
-    if frame is Frame.SYM2:
-        return spinalg.spin_state([1.0, -1.0])    # sigma_x = -1
-    raise ValueError("quench runs in a symmetric frame")
+    return spinalg.spin_state(([1.0, -1.0], [1.0, -1.0j])[frame.quench_axis])
 
 
 def sample_shots(polarization, shots: int, seed) -> tuple:
@@ -126,8 +124,8 @@ def sample_shots(polarization, shots: int, seed) -> tuple:
 
 
 def _stream_seed(master: int, k_index: int, observable: str):
-    # one independent stream per (k, observable); parallel evaluation order
-    # cannot perturb the draws
+    # one independent stream per (k, observable), so the draws at one
+    # momentum do not depend on the grid or on the other observable
     return (int(master), int(k_index), 0 if observable == "x" else 1)
 
 
@@ -141,12 +139,8 @@ def evolve_polarizations(spec: QuenchSpec) -> PolarizationTrace:
     sy_t = np.empty((spec.resolution, spec.steps))
     for t in range(spec.steps):
         psi = np.einsum("kij,kj->ki", u, psi)
-        sx_t[:, t] = np.real(
-            np.einsum("ki,ij,kj->k", psi.conj(), spinalg.SIGMA_X, psi)
-        )
-        sy_t[:, t] = np.real(
-            np.einsum("ki,ij,kj->k", psi.conj(), spinalg.SIGMA_Y, psi)
-        )
+        for s_t, sigma in ((sx_t, spinalg.SIGMA_X), (sy_t, spinalg.SIGMA_Y)):
+            s_t[:, t] = np.real(np.einsum("ki,ij,kj->k", psi.conj(), sigma, psi))
     trace = PolarizationTrace(
         spec=spec,
         k_grid=ks,
@@ -173,12 +167,6 @@ def _sample_grid(avg, spec: QuenchSpec, observable: str):
     return est, err
 
 
-def _quench_component(k, spec: QuenchSpec):
-    """Quench-direction component of the Bloch axis at momentum k."""
-    _, n = axis_field(k, spec.params, spec.frame)
-    return n[..., 1] if spec.frame is Frame.SYM1 else n[..., 0]
-
-
 def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
     """Band-inversion momenta from the quench-direction time average.
 
@@ -192,8 +180,9 @@ def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
     nk = len(ks)
     h = 2.0 * np.pi / nk
     avg_q = trace.quench_avg
+    q = spec.frame.quench_axis
     energy, n = axis_field(ks, spec.params, spec.frame)
-    nq = n[:, 1] if spec.frame is Frame.SYM1 else n[:, 0]
+    nq = n[:, q]
 
     base = (
         (FLOOR_TOL_LONG if spec.steps >= 60 else FLOOR_TOL_SHORT)
@@ -226,7 +215,7 @@ def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
         a, b = ks[i], ks[i] + h
         for _ in range(60):
             m = 0.5 * (a + b)
-            fm = float(_quench_component(m, spec))
+            fm = float(axis_field(m, spec.params, spec.frame)[1][q])
             if fm == 0.0:
                 a = b = m
                 break
@@ -265,8 +254,9 @@ def slope_at_bis(trace: PolarizationTrace, k_bis: float) -> BisSlope:
     ks = trace.k_grid
     nk = len(ks)
     h = 2.0 * np.pi / nk
+    q = spec.frame.quench_axis
     _, n = axis_field(ks, spec.params, spec.frame)
-    nq = n[:, 1] if spec.frame is Frame.SYM1 else n[:, 0]
+    nq = n[:, q]
     avg_o = trace.orth_avg
 
     i0 = int(np.rint((k_bis + np.pi) / h)) % nk
@@ -285,7 +275,7 @@ def slope_at_bis(trace: PolarizationTrace, k_bis: float) -> BisSlope:
     # directions while keeping nu = (sum_k+ g - sum_k- g)/2 equal to the
     # static winding: the y-quench reads the slope directly, the x-quench
     # with the opposite sign.
-    g = int(np.sign(raw)) if spec.frame is Frame.SYM1 else -int(np.sign(raw))
+    g = int(np.sign(raw)) if q == 1 else -int(np.sign(raw))
     return BisSlope(
         k=k_bis,
         g=g,

@@ -12,9 +12,6 @@ DEFAULT_RESOLUTION = 2048
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
 
-# Secondary-oracle agreement tolerance (trapezoid integral, before rounding).
-INTEGRAL_TOL = 1e-3
-
 
 def _crossing_count(drive: float, other: float) -> int:
     """Signed crossings of one frame's planar field through its half axis.
@@ -53,14 +50,14 @@ def winding_number(params: ModelParams, frame: Frame) -> int:
     and theta_y = ty sin k, the SYM1 field sin(E) n = (sin theta_x
     cos theta_y, sin theta_y) winds by its signed crossings of the +x half
     axis, the SYM2 field (sin theta_x, cos theta_x sin theta_y) by those of
-    the +y half axis.  Every gap closing of the drive lies on one of these
-    points; GaplessPointError is raised when the gap there is below TOL_GAP.
+    the +y half axis.  Those crossings are the zeros of the quench-axis
+    component, so the quench axis's amplitude is the drive.  Every gap
+    closing of the drive lies on one of these points; GaplessPointError is
+    raised when the gap there is below TOL_GAP.
     """
-    if frame is Frame.SYM1:
-        return _crossing_count(params.ty, params.tx)
-    if frame is Frame.SYM2:
-        return _crossing_count(params.tx, params.ty)
-    raise ValueError("winding is defined for the symmetric frames only")
+    q = frame.quench_axis
+    amps = (params.tx, params.ty)
+    return _crossing_count(amps[q], amps[1 - q])
 
 
 def winding_integral(

@@ -248,22 +248,44 @@ class TestConfigFile:
 
 
 class TestBadInput:
+    # `flag` is the option the parser names; None where the command itself
+    # rejects the value
     @pytest.mark.parametrize(
-        "args",
+        "args,flag",
         [
-            ["phase-diagram", "--cells", "0"],
-            ["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"],
-            ["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"],
-            ["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"],
-            ["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
-             "--omega-ref", "0"],
-            ["quench", "--tx", "nan", "--ty", "0.5pi"],
-            ["quench", "--tx", "0.5pi", "--ty", "-infpi"],
+            (["phase-diagram", "--cells", "0"], None),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"], None),
+            (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"], None),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"], None),
+            (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+              "--omega-ref", "0"], "--omega-ref"),
+            (["quench", "--tx", "nan", "--ty", "0.5pi"], "--tx"),
+            (["quench", "--tx", "0.5pi", "--ty", "-infpi"], "--ty"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--grid", "0"], "--grid"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--grid", "-4"], "--grid"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--floor-tol", "nan"],
+             "--floor-tol"),
+            (["phase-diagram", "--resolution", "0"], "--resolution"),
+            (["phase-diagram", "--boundary-tol", "nan"], "--boundary-tol"),
+            (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--e-tol", "-1"], "--e-tol"),
+            (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--weight-tol", "inf"],
+             "--weight-tol"),
+            (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+              "--omega-ref", "nan"], "--omega-ref"),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--edge-cells", "0"],
+             "--edge-cells"),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--edge-cells", "-1"],
+             "--edge-cells"),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "40",
+              "--edge-cells", "21"], None),
         ],
         ids=["cells", "steps", "edges-length", "spectrum-length", "omega-ref",
-             "nan-angle", "inf-angle"],
+             "nan-angle", "inf-angle", "grid-zero", "grid-negative", "floor-tol-nan",
+             "resolution-zero", "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
+             "omega-ref-nan", "edge-cells-zero", "edge-cells-negative",
+             "edge-cells-beyond-half-chain"],
     )
-    def test_exits_1_with_message(self, tmp_path, capsys, args):
+    def test_exits_1_with_message(self, tmp_path, capsys, args, flag):
         try:
             rc = run(args, tmp_path)
         except SystemExit as exc:
@@ -271,6 +293,8 @@ class TestBadInput:
         assert rc == 1
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        if flag is not None:
+            assert f"argument {flag}:" in err
 
     def test_missing_required_flag_exits_1(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,12 +18,12 @@ from floqlab.topology import gap_invariants, min_gap
 class TestBuildStep:
     def test_zero_drive_is_zero_matrix(self):
         params = ModelParams(0.0, 0.0)
-        for which in ("H1", "H2"):
-            h = build_real_space_step(params, which, 8)
+        for axis in ("y", "x"):
+            h = build_real_space_step(params, axis, 8)
             assert np.count_nonzero(h) == 0
 
     def test_open_matrix_hermitian_block_tridiagonal(self):
-        h = build_real_space_step(CASE2, "H1", 12, "open")
+        h = build_real_space_step(CASE2, "y", 12, "open")
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
         for i in range(12):
             for j in range(12):
@@ -33,8 +33,8 @@ class TestBuildStep:
 
     def test_periodic_bloch_transform_reproduces_step_angles(self):
         cells = 16
-        h1 = build_real_space_step(CASE2, "H1", cells, "periodic")
-        h2 = build_real_space_step(CASE2, "H2", cells, "periodic")
+        h1 = build_real_space_step(CASE2, "y", cells, "periodic")
+        h2 = build_real_space_step(CASE2, "x", cells, "periodic")
         for j in range(cells):
             k = 2.0 * np.pi * j / cells
             phases = np.exp(1j * k * np.arange(cells)) / np.sqrt(cells)
@@ -45,9 +45,22 @@ class TestBuildStep:
             assert np.allclose(reduced1, thy * SIGMA_Y, atol=1e-12)
             assert np.allclose(reduced2, thx * SIGMA_X, atol=1e-12)
 
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_matches_per_cell_assembly(self, boundary):
+        params, cells = ModelParams(-2.3, 1.7), 6
+        blocks = {"x": (params.tx / 2) * SIGMA_X, "y": (1j * params.ty / 2) * SIGMA_Y}
+        for axis, block in blocks.items():
+            ref = np.zeros((2 * cells, 2 * cells), dtype=complex)
+            for j in range(cells if boundary == "periodic" else cells - 1):
+                a, b = 2 * ((j + 1) % cells), 2 * j
+                ref[a : a + 2, b : b + 2] = block
+                ref[b : b + 2, a : a + 2] = block.conj().T
+            h = build_real_space_step(params, axis, cells, boundary)
+            assert np.array_equal(h, ref)
+
     def test_too_few_cells_rejected(self):
         with pytest.raises(ValueError):
-            build_real_space_step(CASE1, "H1", 3)
+            build_real_space_step(CASE1, "y", 3)
 
 
 class TestRealSpaceFloquet:
@@ -59,9 +72,10 @@ class TestRealSpaceFloquet:
         u = real_space_floquet(CASE2, sym_frame, 20)
         assert np.max(np.abs(u @ u.conj().T - np.eye(40))) < 1e-9
 
-    def test_periodic_eigenphases_match_momentum_space(self, sym_frame):
+    @pytest.mark.parametrize("frame", list(Frame), ids=lambda f: f.value)
+    def test_periodic_eigenphases_match_momentum_space(self, frame):
         cells = 16
-        u = real_space_floquet(CASE1, sym_frame, cells, "periodic")
+        u = real_space_floquet(CASE1, frame, cells, "periodic")
         phases = np.sort(diagonalize_unitary(u)[0])
         expected = np.sort(
             np.concatenate(
@@ -82,6 +96,11 @@ class TestRealSpaceFloquet:
         spectrum = lattice_spectrum(CASE1, Frame.SYM1, 24)
         gram = spectrum.states.conj().T @ spectrum.states
         assert np.max(np.abs(gram - np.eye(48))) < 1e-9
+
+    @pytest.mark.parametrize("edge_cells", [0, -1, 13])
+    def test_edge_cells_outside_half_chain_rejected(self, edge_cells):
+        with pytest.raises(ValueError, match="edge_cells"):
+            lattice_spectrum(CASE1, Frame.SYM1, 24, edge_cells=edge_cells)
 
     def test_open_case1_gapped_except_edge_modes(self):
         spectrum = lattice_spectrum(CASE1, Frame.SYM1, 40)

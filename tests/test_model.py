@@ -14,7 +14,9 @@ from floqlab.model import (
     quasienergy,
     step_angles,
 )
+from floqlab.quench import QuenchSpec, initial_state
 from floqlab.spinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_exp
+from floqlab.topology import winding_number
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -48,6 +50,23 @@ class TestStepAngles:
         thx, thy = step_angles(np.pi, ModelParams(1.3, 0.7))
         assert thx == pytest.approx(-1.3)
         assert thy == pytest.approx(0.0, abs=1e-15)
+
+
+class TestFrame:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: axis_field(0.1, CASE1, Frame.PLAIN),
+            lambda: bloch_axis(0.1, CASE1, Frame.PLAIN),
+            lambda: winding_number(CASE1, Frame.PLAIN),
+            lambda: QuenchSpec(CASE1, Frame.PLAIN),
+            lambda: initial_state(Frame.PLAIN),
+        ],
+        ids=["axis_field", "bloch_axis", "winding_number", "QuenchSpec", "initial_state"],
+    )
+    def test_plain_frame_rejected(self, call):
+        with pytest.raises(ValueError, match="symmetric frame"):
+            call()
 
 
 class TestFloquetOperator:
@@ -152,10 +171,6 @@ class TestBlochAxis:
     def test_gapless_point_rejected(self, sym_frame):
         with pytest.raises(GaplessPointError, match="gapless point"):
             bloch_axis(0.0, ModelParams(np.pi, 0.5 * np.pi), sym_frame)
-
-    def test_plain_frame_rejected(self):
-        with pytest.raises(ValueError):
-            bloch_axis(0.1, CASE1, Frame.PLAIN)
 
     def test_continuous_across_cos_e_sign_change(self):
         # case 2 has cos E crossing zero inside the zone; the axis field

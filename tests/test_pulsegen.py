@@ -44,6 +44,17 @@ class TestCompile:
         assert [p.axis for p in sched.pulses] == ["y", "x", "y"]
         assert [p.angle for p in sched.pulses] == pytest.approx([thy / 2, thx, thy / 2])
 
+    @pytest.mark.parametrize("frame", list(Frame), ids=lambda f: f.value)
+    def test_kept_pulses_follow_frame_steps(self, frame):
+        thx, thy = step_angles(0.7, CASE1)
+        theta = {"x": thx, "y": thy}
+        sched = compile_schedule(0.7, CASE1, frame, 2, omega_ref=1.0, elide_zero=False)
+        assert [p.axis for p in sched.pulses] == [axis for axis, _ in frame.steps] * 2
+        signed = [p.angle if p.phase_deg < 180 else -p.angle for p in sched.pulses]
+        assert signed == pytest.approx(
+            [share * theta[axis] for axis, share in frame.steps] * 2
+        )
+
     def test_pulse_count_per_period(self):
         k = 0.7
         for frame, per_period in ((Frame.PLAIN, 2), (Frame.SYM1, 3), (Frame.SYM2, 3)):

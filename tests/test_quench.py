@@ -44,10 +44,6 @@ class TestInitialState:
         assert spinalg.expectation(state, "x") == pytest.approx(-1.0, abs=1e-15)
         assert spinalg.expectation(state, "z") == pytest.approx(0.0, abs=1e-15)
 
-    def test_plain_rejected(self):
-        with pytest.raises(ValueError):
-            initial_state(Frame.PLAIN)
-
 
 class TestEvolvePolarizations:
     def test_bloch_norm_preserved(self, sym_frame):

@@ -76,10 +76,6 @@ class TestWindingNumber:
         with pytest.raises(GaplessPointError):
             winding_number(ModelParams(1.3, np.pi), Frame.SYM1)
 
-    def test_plain_frame_rejected(self):
-        with pytest.raises(ValueError):
-            winding_number(CASE1, Frame.PLAIN)
-
     def test_cells_next_to_zero_gap_closing(self):
         # default-grid cells beside the closing curve (pi/tx)^2 + (pi/ty)^2 = 1,
         # where a grid winding could not resolve the field
