@@ -44,10 +44,24 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text}")
+    return value
+
+
 def positive_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
+
+
+def probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text}")
     return value
 
 
@@ -80,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx-max", type=parse_angle, default=3 * np.pi)
     p.add_argument("--ty-min", type=parse_angle, default=0.0)
     p.add_argument("--ty-max", type=parse_angle, default=3 * np.pi)
-    p.add_argument("--cells", type=int, default=60, help="cells per axis")
+    p.add_argument("--cells", type=positive_int, default=60, help="cells per axis")
     p.add_argument("--resolution", type=positive_int, default=DEFAULT_RESOLUTION)
     p.add_argument("--boundary-tol", type=positive_float, default=BOUNDARY_TOL)
     p.set_defaults(func=cmd_phase_diagram)
@@ -90,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", type=parse_angle, required=True)
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", choices=["sym1", "sym2", "both"], default="both")
-    p.add_argument("--steps", type=int, default=60)
+    p.add_argument("--steps", type=positive_int, default=60)
     p.add_argument("--grid", type=positive_int, default=512)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=positive_int, default=None)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--floor-tol", type=positive_float, default=None)
     p.set_defaults(func=cmd_quench)
 
@@ -115,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=40)
     p.add_argument("--e-tol", type=positive_float, default=1e-3)
     p.add_argument("--edge-cells", type=positive_int, default=None)
-    p.add_argument("--weight-tol", type=positive_float, default=0.5)
+    p.add_argument("--weight-tol", type=probability, default=0.5)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("pulses", help="compile a frame evolution to pulses")
@@ -124,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--k", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
-    p.add_argument("--periods", type=int, default=1)
+    p.add_argument("--periods", type=positive_int, default=1)
     p.add_argument("--omega-ref", type=positive_float, required=True,
                    help="reference Rabi rate (rad/s); no physical default")
     p.add_argument("--keep-zero-pulses", action="store_true")
@@ -243,8 +257,7 @@ def cmd_quench(args) -> int:
         )
         trace = evolve_polarizations(spec)
         sx, sy = trace.measured
-        ex = trace.sx_stderr if trace.sx_stderr is not None else np.zeros_like(sx)
-        ey = trace.sy_stderr if trace.sy_stderr is not None else np.zeros_like(sy)
+        ex, ey = np.zeros_like(trace.avg) if trace.stderr is None else trace.stderr
         write_csv(
             args.output_dir / f"quench_{frame.value}.csv",
             ["k", "sigma_x_avg", "sigma_y_avg", "stderr_x", "stderr_y"],

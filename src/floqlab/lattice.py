@@ -120,11 +120,13 @@ def lattice_spectrum(
     boundary: str = "open",
     edge_cells: int | None = None,
 ) -> LatticeSpectrum:
+    # the default fits every chain of 4 or more cells, the shortest one
+    # real_space_floquet builds; check a given value before that build
     if edge_cells is None:
         edge_cells = default_edge_cells(cells)
-    u = real_space_floquet(params, frame, cells, boundary)
-    if not 1 <= edge_cells <= cells // 2:
+    elif not 1 <= edge_cells <= cells // 2:
         raise ValueError(f"edge_cells must lie in 1..{cells // 2}")
+    u = real_space_floquet(params, frame, cells, boundary)
     phases, states = diagonalize_unitary(u)
     density = np.abs(states) ** 2
     left = density[: 2 * edge_cells, :].sum(axis=0)
@@ -149,8 +151,11 @@ def count_edge_modes(
     """(zero-gap, pi-gap) edge-mode counts of the open-boundary operator.
 
     Requires the bulk gaps (periodic spectrum) to exceed 2*e_tol so the
-    counting windows cannot pick up bulk states.
+    counting windows cannot pick up bulk states.  weight_tol bounds a
+    probability, so it must lie strictly between 0 and 1.
     """
+    if not 0 < weight_tol < 1:
+        raise ValueError("weight_tol must lie strictly between 0 and 1")
     for which in (0, "pi"):
         if min_gap(params, which) <= 2.0 * e_tol:
             raise BulkGapError("bulk gap too small for edge-mode counting")

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spinalg
 from .errors import AmbiguousSlopeError, NoBisError
-from .model import Frame, ModelParams, axis_field, brillouin_grid, floquet_operator
+from .model import Frame, ModelParams, axis_field, brillouin_grid
 
 DEFAULT_GRID = 512
 
@@ -56,31 +55,17 @@ class QuenchSpec:
 class PolarizationTrace:
     spec: QuenchSpec
     k_grid: np.ndarray
-    sx_t: np.ndarray        # shape (resolution, steps), t = 1..N
-    sy_t: np.ndarray
-    sx_avg: np.ndarray      # arithmetic mean over t = 1..N
-    sy_avg: np.ndarray
-    sx_sampled: np.ndarray | None = None
-    sy_sampled: np.ndarray | None = None
-    sx_stderr: np.ndarray | None = None
-    sy_stderr: np.ndarray | None = None
+    energy: np.ndarray      # quasienergy E on the grid
+    n: np.ndarray           # Bloch axis on the grid, shape (resolution, 3)
+    s_t: np.ndarray         # (x, y) spin, shape (2, resolution, steps), t = 1..N
+    avg: np.ndarray         # arithmetic mean over t = 1..N, shape (2, resolution)
+    sampled: np.ndarray | None = None
+    stderr: np.ndarray | None = None
 
     @property
-    def measured(self) -> tuple:
+    def measured(self) -> np.ndarray:
         """Measured (x, y) time averages: the sampled ones if present."""
-        if self.sx_sampled is not None:
-            return self.sx_sampled, self.sy_sampled
-        return self.sx_avg, self.sy_avg
-
-    @property
-    def quench_avg(self) -> np.ndarray:
-        """Measured time average along the quench axis."""
-        return self.measured[self.spec.frame.quench_axis]
-
-    @property
-    def orth_avg(self) -> np.ndarray:
-        """Measured time average orthogonal to the quench axis."""
-        return self.measured[1 - self.spec.frame.quench_axis]
+        return self.avg if self.sampled is None else self.sampled
 
 
 @dataclass(frozen=True)
@@ -97,11 +82,6 @@ class BisReport:
     bis: list = field(default_factory=list)        # momenta in (-pi, pi]
     slopes: list = field(default_factory=list)     # BisSlope per momentum
     nu: int = 0
-
-
-def initial_state(frame: Frame) -> np.ndarray:
-    """Deep-trivial ground state: the -1 eigenstate of the quench axis."""
-    return spinalg.spin_state(([1.0, -1.0], [1.0, -1.0j])[frame.quench_axis])
 
 
 def sample_shots(polarization, shots: int, seed) -> tuple:
@@ -131,27 +111,22 @@ def _stream_seed(master: int, k_index: int, observable: str):
 
 def evolve_polarizations(spec: QuenchSpec) -> PolarizationTrace:
     """Noise-free stroboscopic traces; optional per-point binomial sampling
-    of the time averages when spec.shots is set."""
+    of the time averages when spec.shots is set.
+
+    Each period turns the spin by 2E about the in-plane axis n, so the
+    initial -e_q spin reads s(t) = -n_q n (1 - cos 2tE) - cos(2tE) e_q.
+    Raises GaplessPointError when a grid momentum sits on a gap closing.
+    """
     ks = brillouin_grid(spec.resolution)
-    u = floquet_operator(ks, spec.params, spec.frame)
-    psi = np.broadcast_to(initial_state(spec.frame), (spec.resolution, 2)).copy()
-    sx_t = np.empty((spec.resolution, spec.steps))
-    sy_t = np.empty((spec.resolution, spec.steps))
-    for t in range(spec.steps):
-        psi = np.einsum("kij,kj->ki", u, psi)
-        for s_t, sigma in ((sx_t, spinalg.SIGMA_X), (sy_t, spinalg.SIGMA_Y)):
-            s_t[:, t] = np.real(np.einsum("ki,ij,kj->k", psi.conj(), sigma, psi))
-    trace = PolarizationTrace(
-        spec=spec,
-        k_grid=ks,
-        sx_t=sx_t,
-        sy_t=sy_t,
-        sx_avg=sx_t.mean(axis=1),
-        sy_avg=sy_t.mean(axis=1),
-    )
+    energy, n = axis_field(ks, spec.params, spec.frame)
+    q = spec.frame.quench_axis
+    c = np.cos(2.0 * np.outer(energy, np.arange(1, spec.steps + 1)))
+    s_t = -(n[:, q] * n[:, :2].T)[:, :, None] * (1.0 - c)
+    s_t[q] -= c
+    trace = PolarizationTrace(spec, ks, energy, n, s_t, s_t.mean(axis=2))
     if spec.shots is not None:
-        trace.sx_sampled, trace.sx_stderr = _sample_grid(trace.sx_avg, spec, "x")
-        trace.sy_sampled, trace.sy_stderr = _sample_grid(trace.sy_avg, spec, "y")
+        est, err = zip(*(_sample_grid(trace.avg[a], spec, "xy"[a]) for a in (0, 1)))
+        trace.sampled, trace.stderr = np.array(est), np.array(err)
     return trace
 
 
@@ -179,10 +154,9 @@ def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
     ks = trace.k_grid
     nk = len(ks)
     h = 2.0 * np.pi / nk
-    avg_q = trace.quench_avg
     q = spec.frame.quench_axis
-    energy, n = axis_field(ks, spec.params, spec.frame)
-    nq = n[:, q]
+    avg_q = trace.measured[q]
+    energy, nq = trace.energy, trace.n[:, q]
 
     base = (
         (FLOOR_TOL_LONG if spec.steps >= 60 else FLOOR_TOL_SHORT)
@@ -255,9 +229,8 @@ def slope_at_bis(trace: PolarizationTrace, k_bis: float) -> BisSlope:
     nk = len(ks)
     h = 2.0 * np.pi / nk
     q = spec.frame.quench_axis
-    _, n = axis_field(ks, spec.params, spec.frame)
-    nq = n[:, q]
-    avg_o = trace.orth_avg
+    nq = trace.n[:, q]
+    avg_o = trace.measured[1 - q]
 
     i0 = int(np.rint((k_bis + np.pi) / h)) % nk
     stencil = np.array([(i0 - 2) % nk, (i0 - 1) % nk, (i0 + 1) % nk, (i0 + 2) % nk])

@@ -9,15 +9,10 @@ import numpy as np
 
 from .errors import DegenerateAxisError
 
-# Default tolerance of is_unitary.
-UNITARY_CHECK_TOL = 1e-9
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
-
-PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def su2_exp(axis, angle) -> np.ndarray:
@@ -42,23 +37,3 @@ def su2_exp(axis, angle) -> np.ndarray:
     c = np.cos(angle)[..., None, None]
     s = np.sin(angle)[..., None, None]
     return c * IDENTITY - 1j * s * ndots
-
-
-def is_unitary(u, tol: float = UNITARY_CHECK_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    prod = u @ np.conj(np.swapaxes(u, -1, -2))
-    return bool(np.max(np.abs(prod - IDENTITY)) <= tol)
-
-
-def expectation(state, axis: str) -> float:
-    """<state| sigma_axis |state> for a normalized two-component state."""
-    state = np.asarray(state, dtype=complex)
-    sigma = PAULI[axis]
-    val = np.real(np.einsum("...i,ij,...j->...", state.conj(), sigma, state))
-    return float(val) if val.ndim == 0 else val
-
-
-def spin_state(amplitudes) -> np.ndarray:
-    """Normalize a two-component amplitude vector."""
-    v = np.asarray(amplitudes, dtype=complex)
-    return v / np.linalg.norm(v)

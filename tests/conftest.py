@@ -2,15 +2,39 @@ import numpy as np
 import pytest
 
 from floqlab.model import Frame, ModelParams
+from floqlab.spinalg import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, su2_exp
 
 CASE1 = ModelParams(0.5 * np.pi, 0.5 * np.pi)
 CASE2 = ModelParams(2.5 * np.pi, 0.5 * np.pi)
 
+# Spinor oracles: plain matrix algebra that the closed forms of floqlab
+# are checked against.
+UNITARY_CHECK_TOL = 1e-9
+
+PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+def is_unitary(u, tol: float = UNITARY_CHECK_TOL) -> bool:
+    u = np.asarray(u, dtype=complex)
+    prod = u @ np.conj(np.swapaxes(u, -1, -2))
+    return bool(np.max(np.abs(prod - IDENTITY)) <= tol)
+
+
+def expectation(state, axis: str):
+    """<state| sigma_axis |state> for normalized two-component states."""
+    state = np.asarray(state, dtype=complex)
+    val = np.real(np.einsum("...i,ij,...j->...", state.conj(), PAULI[axis], state))
+    return float(val) if val.ndim == 0 else val
+
+
+def spin_state(amplitudes) -> np.ndarray:
+    """Normalize a two-component amplitude vector."""
+    v = np.asarray(amplitudes, dtype=complex)
+    return v / np.linalg.norm(v)
+
 
 def random_su2(rng, size=None):
     """Haar-ish random SU(2) via random axis and angle."""
-    from floqlab.spinalg import su2_exp
-
     shape = () if size is None else (size,)
     axis = rng.normal(size=shape + (3,))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=shape)

@@ -253,8 +253,8 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "args,flag",
         [
-            (["phase-diagram", "--cells", "0"], None),
-            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"], None),
+            (["phase-diagram", "--cells", "0"], "--cells"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"], "--steps"),
             (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"], None),
             (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"], None),
             (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
@@ -278,12 +278,22 @@ class TestBadInput:
              "--edge-cells"),
             (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "40",
               "--edge-cells", "21"], None),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--shots", "10",
+              "--seed", "-1"], "--seed"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--shots", "0"], "--shots"),
+            (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+              "--omega-ref", "1e6", "--periods", "0"], "--periods"),
+            (["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--weight-tol", "1"],
+             "--weight-tol"),
+            (["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--weight-tol", "2"],
+             "--weight-tol"),
         ],
         ids=["cells", "steps", "edges-length", "spectrum-length", "omega-ref",
              "nan-angle", "inf-angle", "grid-zero", "grid-negative", "floor-tol-nan",
              "resolution-zero", "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
              "omega-ref-nan", "edge-cells-zero", "edge-cells-negative",
-             "edge-cells-beyond-half-chain"],
+             "edge-cells-beyond-half-chain", "seed-negative", "shots-zero",
+             "periods-zero", "weight-tol-one", "weight-tol-two"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, args, flag):
         try:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import CASE1, CASE2, random_nonboundary_params
+from floqlab import lattice
 from floqlab.errors import BulkGapError
 from floqlab.lattice import (
     build_real_space_step,
@@ -98,7 +99,9 @@ class TestRealSpaceFloquet:
         assert np.max(np.abs(gram - np.eye(48))) < 1e-9
 
     @pytest.mark.parametrize("edge_cells", [0, -1, 13])
-    def test_edge_cells_outside_half_chain_rejected(self, edge_cells):
+    def test_edge_cells_outside_half_chain_rejected(self, edge_cells, monkeypatch):
+        # rejected before the 2L x 2L operator is built
+        monkeypatch.setattr(lattice, "real_space_floquet", None)
         with pytest.raises(ValueError, match="edge_cells"):
             lattice_spectrum(CASE1, Frame.SYM1, 24, edge_cells=edge_cells)
 
@@ -147,6 +150,12 @@ class TestEdgeModes:
             inv = gap_invariants(params)
             n_zero, n_pi = count_edge_modes(params, Frame.SYM1, 160)
             assert (n_zero, n_pi) == (2 * abs(inv.nu0), 2 * abs(inv.nu_pi))
+
+    @pytest.mark.parametrize("weight_tol", [0.0, 1.0, 2.0, np.nan])
+    def test_weight_tol_outside_unit_interval_rejected(self, weight_tol):
+        # a left-plus-right edge weight is a probability, at most 1
+        with pytest.raises(ValueError, match="weight_tol"):
+            count_edge_modes(CASE2, Frame.SYM1, 60, weight_tol=weight_tol)
 
     def test_small_bulk_gap_rejected(self):
         with pytest.raises(BulkGapError, match="bulk gap too small"):

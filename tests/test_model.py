@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import CASE1, CASE2, random_nonboundary_params
-from floqlab import spinalg
+from conftest import CASE1, CASE2, is_unitary, random_nonboundary_params
 from floqlab.errors import GaplessPointError
 from floqlab.model import (
     Frame,
@@ -14,7 +13,7 @@ from floqlab.model import (
     quasienergy,
     step_angles,
 )
-from floqlab.quench import QuenchSpec, initial_state
+from floqlab.quench import QuenchSpec
 from floqlab.spinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_exp
 from floqlab.topology import winding_number
 
@@ -60,9 +59,8 @@ class TestFrame:
             lambda: bloch_axis(0.1, CASE1, Frame.PLAIN),
             lambda: winding_number(CASE1, Frame.PLAIN),
             lambda: QuenchSpec(CASE1, Frame.PLAIN),
-            lambda: initial_state(Frame.PLAIN),
         ],
-        ids=["axis_field", "bloch_axis", "winding_number", "QuenchSpec", "initial_state"],
+        ids=["axis_field", "bloch_axis", "winding_number", "QuenchSpec"],
     )
     def test_plain_frame_rejected(self, call):
         with pytest.raises(ValueError, match="symmetric frame"):
@@ -97,7 +95,7 @@ class TestFloquetOperator:
 
     def test_unitary_on_grid(self, sym_frame):
         u = floquet_operator(brillouin_grid(256), CASE2, sym_frame)
-        assert spinalg.is_unitary(u, 1e-12)
+        assert is_unitary(u, 1e-12)
 
     def test_chiral_symmetry(self, rng, sym_frame):
         for _ in range(50):

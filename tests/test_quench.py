@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import CASE1, CASE2, random_nonboundary_params
-from floqlab import spinalg
-from floqlab.errors import AmbiguousSlopeError, NoBisError
-from floqlab.model import Frame, ModelParams, axis_field, floquet_operator
+from conftest import CASE1, CASE2, expectation, random_nonboundary_params, spin_state
+from floqlab.errors import AmbiguousSlopeError, GaplessPointError, NoBisError
+from floqlab.model import (
+    Frame,
+    ModelParams,
+    axis_field,
+    brillouin_grid,
+    floquet_operator,
+    quasienergy,
+)
 from floqlab.quench import (
     QuenchSpec,
     bis_report,
     evolve_polarizations,
     find_bis,
-    initial_state,
     sample_shots,
     slope_at_bis,
     winding_from_quench,
@@ -33,47 +40,70 @@ CASE2_KPLUS = {
 }
 
 
-class TestInitialState:
-    def test_sym1_minus_y(self):
-        state = initial_state(Frame.SYM1)
-        assert spinalg.expectation(state, "y") == pytest.approx(-1.0, abs=1e-15)
-        assert spinalg.expectation(state, "z") == pytest.approx(0.0, abs=1e-15)
+def spinor_oracle(spec):
+    """(x, y, z) spin after t = 1..N periods, shape (3, resolution, steps):
+    the -1 eigenstate of the quench axis pushed through N products of
+    floquet_operator."""
+    u = floquet_operator(brillouin_grid(spec.resolution), spec.params, spec.frame)
+    axis = "xy"[spec.frame.quench_axis]
+    psi0 = spin_state({"x": [1.0, -1.0], "y": [1.0, -1.0j]}[axis])
+    assert expectation(psi0, axis) == pytest.approx(-1.0, abs=1e-15)
+    psi = np.broadcast_to(psi0, (spec.resolution, 2)).copy()
+    out = np.empty((3, spec.resolution, spec.steps))
+    for t in range(spec.steps):
+        psi = np.einsum("kij,kj->ki", u, psi)
+        out[:, :, t] = [expectation(psi, a) for a in "xyz"]
+    return out
 
-    def test_sym2_minus_x(self):
-        state = initial_state(Frame.SYM2)
-        assert spinalg.expectation(state, "x") == pytest.approx(-1.0, abs=1e-15)
-        assert spinalg.expectation(state, "z") == pytest.approx(0.0, abs=1e-15)
+
+def assert_matches_spinor_oracle(spec):
+    trace = evolve_polarizations(spec)
+    oracle = spinor_oracle(spec)
+    assert trace.s_t.shape == (2, spec.resolution, spec.steps)
+    assert np.max(np.abs(trace.s_t - oracle[:2])) <= 1e-12
+    # the in-plane closed form and the oracle's sigma_z form a unit vector
+    norm = trace.s_t[0] ** 2 + trace.s_t[1] ** 2 + oracle[2] ** 2
+    assert np.allclose(norm, 1.0, atol=1e-10)
 
 
 class TestEvolvePolarizations:
     def test_bloch_norm_preserved(self, sym_frame):
-        spec = QuenchSpec(CASE2, sym_frame, steps=25, resolution=64)
-        trace = evolve_polarizations(spec)
-        # recompute sigma_z series independently; the three components must
-        # form a unit Bloch vector at every stroboscopic time
-        u = floquet_operator(trace.k_grid, spec.params, sym_frame)
-        psi = np.broadcast_to(initial_state(sym_frame), (64, 2)).copy()
-        for t in range(spec.steps):
-            psi = np.einsum("kij,kj->ki", u, psi)
-            sz = np.real(np.einsum("ki,ij,kj->k", psi.conj(), spinalg.SIGMA_Z, psi))
-            norm = trace.sx_t[:, t] ** 2 + trace.sy_t[:, t] ** 2 + sz**2
-            assert np.allclose(norm, 1.0, atol=1e-10)
+        assert_matches_spinor_oracle(QuenchSpec(CASE2, sym_frame, steps=25, resolution=64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tx=st.floats(0.0, 3.0 * np.pi),
+        ty=st.floats(0.0, 3.0 * np.pi),
+        steps=st.integers(1, 80),
+        frame=st.sampled_from([Frame.SYM1, Frame.SYM2]),
+    )
+    def test_matches_spinor_oracle_on_gapped_drives(self, tx, ty, steps, frame):
+        params = ModelParams(tx, ty)
+        energy = quasienergy(brillouin_grid(32), params)
+        assume(np.min(np.minimum(energy, np.pi - energy)) > 1e-3)
+        assert_matches_spinor_oracle(QuenchSpec(params, frame, steps=steps, resolution=32))
 
     def test_stationary_when_initial_state_is_eigenstate(self):
-        # (2pi, pi/2) at k = 0 gives U = exp(-i 2pi sx) = identity (up to
-        # phase); the zero gap closes there and the trace is constant
+        # SYM1 at k = pi/2 has theta_x = 0, so U = exp(-i theta_y sy) and
+        # the initial -y spin is an eigenstate: the trace stays at -y
+        spec = QuenchSpec(CASE1, Frame.SYM1, steps=16, resolution=8)
+        trace = evolve_polarizations(spec)
+        i0 = np.argmin(np.abs(trace.k_grid - 0.5 * np.pi))
+        assert np.allclose(trace.s_t[0, i0], 0.0, atol=1e-12)
+        assert np.allclose(trace.s_t[1, i0], -1.0, atol=1e-12)
+
+    def test_gapless_grid_point_rejected(self):
+        # (2pi, pi/2) at k = 0 gives U = exp(-i 2pi sx) = identity: the
+        # zero gap closes on a grid momentum and the axis is undefined there
         spec = QuenchSpec(ModelParams(2 * np.pi, 0.5 * np.pi), Frame.SYM1,
                           steps=16, resolution=8)
-        trace = evolve_polarizations(spec)
-        i0 = np.argmin(np.abs(trace.k_grid))
-        assert np.allclose(trace.sy_t[i0, :], trace.sy_t[i0, 0], atol=1e-12)
-        assert np.allclose(trace.sx_t[i0, :], trace.sx_t[i0, 0], atol=1e-12)
+        with pytest.raises(GaplessPointError):
+            evolve_polarizations(spec)
 
     def test_time_average_is_arithmetic_mean(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=7, resolution=16)
         trace = evolve_polarizations(spec)
-        assert np.array_equal(trace.sx_avg, trace.sx_t.mean(axis=1))
-        assert np.array_equal(trace.sy_avg, trace.sy_t.mean(axis=1))
+        assert np.array_equal(trace.avg, trace.s_t.mean(axis=2))
 
     def test_case1_sym1_average_vanishes_on_inversions(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=60, resolution=512)
@@ -81,14 +111,14 @@ class TestEvolvePolarizations:
         for k_target in (0.0, np.pi):
             idx = np.argmin(np.abs(np.abs(trace.k_grid) - abs(k_target)) if k_target
                             else np.abs(trace.k_grid))
-            assert abs(trace.sy_avg[idx]) < 1e-12
+            assert abs(trace.avg[1, idx]) < 1e-12
 
     def test_case1_sym2_average_vanishes_at_half_pi(self):
         spec = QuenchSpec(CASE1, Frame.SYM2, steps=60, resolution=512)
         trace = evolve_polarizations(spec)
         for k_target in (0.5 * np.pi, -0.5 * np.pi):
             idx = np.argmin(np.abs(trace.k_grid - k_target))
-            assert abs(trace.sx_avg[idx]) < 1e-12
+            assert abs(trace.avg[0, idx]) < 1e-12
 
 
 class TestSampleShots:
@@ -117,9 +147,8 @@ class TestSampleShots:
                           shots=1000, seed=5)
         t1 = evolve_polarizations(spec)
         t2 = evolve_polarizations(spec)
-        assert np.array_equal(t1.sx_sampled, t2.sx_sampled)
-        assert np.array_equal(t1.sy_sampled, t2.sy_sampled)
-        assert np.array_equal(t1.sx_stderr, t2.sx_stderr)
+        assert np.array_equal(t1.sampled, t2.sampled)
+        assert np.array_equal(t1.stderr, t2.stderr)
 
 
 class TestFindBis:
@@ -156,7 +185,7 @@ class TestFindBis:
         # yields no candidates (every zero of the axis field sits on a gap
         # closing line in this drive, so this is exercised synthetically)
         trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1))
-        trace.sy_avg = np.full_like(trace.sy_avg, -0.9)
+        trace.avg[1] = -0.9
         with pytest.raises(NoBisError, match="no BIS found"):
             find_bis(trace)
 
@@ -193,7 +222,7 @@ class TestSlopes:
 
     def test_flat_orthogonal_average_is_ambiguous(self):
         trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1))
-        trace.sx_avg = np.zeros_like(trace.sx_avg)
+        trace.avg[0] = 0.0
         with pytest.raises(AmbiguousSlopeError, match="ambiguous slope"):
             slope_at_bis(trace, 0.0)
 
@@ -249,10 +278,7 @@ class TestSampledPipeline:
                 spec = QuenchSpec(params, frame, steps=10, resolution=512,
                                   shots=10**6, seed=self.SEED)
                 trace = evolve_polarizations(spec)
-                for exact, est, err_hat in (
-                    (trace.sx_avg, trace.sx_sampled, trace.sx_stderr),
-                    (trace.sy_avg, trace.sy_sampled, trace.sy_stderr),
-                ):
+                for exact, est, err_hat in zip(trace.avg, trace.sampled, trace.stderr):
                     p = (1.0 + np.clip(exact, -1, 1)) / 2.0
                     sigma = 2.0 * np.sqrt(p * (1.0 - p) / spec.shots)
                     assert np.all(np.abs(est - exact) <= 4.0 * sigma + 1e-15)

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_su2
-from floqlab import spinalg
+from conftest import expectation, is_unitary, random_su2, spin_state
 from floqlab.errors import DegenerateAxisError
-from floqlab.spinalg import IDENTITY, SIGMA_X, expectation, spin_state, su2_exp
+from floqlab.spinalg import IDENTITY, SIGMA_X, su2_exp
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -58,7 +57,7 @@ def test_su2_exp_always_unitary(ax, ay, az, angle):
     axis = np.array([ax, ay, az])
     if np.linalg.norm(axis) < 1e-12:
         return
-    assert spinalg.is_unitary(su2_exp(axis, angle), 1e-12)
+    assert is_unitary(su2_exp(axis, angle), 1e-12)
 
 
 def test_expectation_eigenstates():
