@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import FloqlabError, NoBisError
-from .lattice import count_edge_modes, default_edge_cells, lattice_spectrum
+from .lattice import MIN_CELLS, count_edge_modes, lattice_spectrum
 from .model import Frame, ModelParams
 from .pulsegen import compile_schedule, verify_schedule
 from .quench import QuenchSpec, bis_report, evolve_polarizations
@@ -55,6 +55,14 @@ def positive_float(text: str) -> float:
     value = float(text)
     if not (np.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
+    return value
+
+
+def chain_length(text: str) -> int:
+    value = int(text)
+    if value < MIN_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"need at least {MIN_CELLS} unit cells: {text}")
     return value
 
 
@@ -116,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", type=parse_angle, required=True)
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
-    p.add_argument("--length", type=int, default=40, help="unit cells")
+    p.add_argument("--length", type=chain_length, default=40, help="unit cells")
     p.add_argument("--boundary", choices=["open", "periodic"], default="open")
     p.add_argument("--edge-cells", type=positive_int, default=None)
     p.set_defaults(func=cmd_spectrum)
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", type=parse_angle, required=True)
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
-    p.add_argument("--length", type=int, default=40)
+    p.add_argument("--length", type=chain_length, default=40)
     p.add_argument("--e-tol", type=positive_float, default=1e-3)
     p.add_argument("--edge-cells", type=positive_int, default=None)
     p.add_argument("--weight-tol", type=probability, default=0.5)
@@ -349,11 +357,10 @@ def cmd_edges(args) -> int:
     }
     h = config_hash(cfg)
     params = ModelParams(args.tx, args.ty)
-    n_zero, n_pi = count_edge_modes(
+    n_zero, n_pi, spectrum = count_edge_modes(
         params, args.frame, args.length,
         e_tol=args.e_tol, edge_cells=args.edge_cells, weight_tol=args.weight_tol,
     )
-    spectrum = lattice_spectrum(params, args.frame, args.length, "open", args.edge_cells)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     _write_spectrum_csv(args.output_dir, args.frame, spectrum, h)
     write_json(
@@ -362,7 +369,7 @@ def cmd_edges(args) -> int:
             "config": cfg,
             "n_zero": n_zero,
             "n_pi": n_pi,
-            "edge_cells": args.edge_cells or default_edge_cells(args.length),
+            "edge_cells": spectrum.edge_cells,
         },
         h,
     )

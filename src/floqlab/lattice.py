@@ -24,6 +24,7 @@ from .topology import min_gap
 
 E_TOL = 1e-3        # eigenphase distance to 0 / pi counted as a gap mode
 WEIGHT_TOL = 0.5    # minimum probability mass on the edge cells
+MIN_CELLS = 4       # shortest chain with two edge cells at each end
 
 
 def default_edge_cells(cells: int) -> int:
@@ -35,8 +36,8 @@ def build_real_space_step(
 ) -> np.ndarray:
     """Hermitian step Hamiltonian about `axis` ("x" or "y") on `cells` unit
     cells (2*cells levels)."""
-    if cells < 4:
-        raise ValueError("need at least 4 unit cells")
+    if cells < MIN_CELLS:
+        raise ValueError(f"need at least {MIN_CELLS} unit cells")
     if boundary not in ("open", "periodic"):
         raise ValueError("boundary must be 'open' or 'periodic'")
     if axis == "x":
@@ -120,8 +121,8 @@ def lattice_spectrum(
     boundary: str = "open",
     edge_cells: int | None = None,
 ) -> LatticeSpectrum:
-    # the default fits every chain of 4 or more cells, the shortest one
-    # real_space_floquet builds; check a given value before that build
+    # the default fits every chain of MIN_CELLS or more cells, the shortest
+    # one real_space_floquet builds; check a given value before that build
     if edge_cells is None:
         edge_cells = default_edge_cells(cells)
     elif not 1 <= edge_cells <= cells // 2:
@@ -148,9 +149,11 @@ def count_edge_modes(
     edge_cells: int | None = None,
     weight_tol: float = WEIGHT_TOL,
 ) -> tuple:
-    """(zero-gap, pi-gap) edge-mode counts of the open-boundary operator.
+    """(n_zero, n_pi, spectrum): the 0- and pi-gap edge-mode counts of the
+    open-boundary operator, and the LatticeSpectrum they were counted on.
 
-    Requires the bulk gaps (periodic spectrum) to exceed 2*e_tol so the
+    Before building the lattice, requires topology.min_gap (the momentum-space
+    gap scan at its default resolution) of both gaps to exceed 2*e_tol, so the
     counting windows cannot pick up bulk states.  weight_tol bounds a
     probability, so it must lie strictly between 0 and 1.
     """
@@ -165,4 +168,4 @@ def count_edge_modes(
     near_pi = np.abs(np.abs(spectrum.phases) - np.pi) < e_tol
     n_zero = int(np.count_nonzero(near_zero & localized))
     n_pi = int(np.count_nonzero(near_pi & localized))
-    return n_zero, n_pi
+    return n_zero, n_pi, spectrum

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from floqlab import lattice
 from floqlab.cli import main, parse_angle
 from floqlab.serialize import read_json
 
@@ -160,6 +161,35 @@ class TestEdgesAndSpectrumCommands:
         report = read_json(tmp_path / "edges.json")
         assert (report["n_zero"], report["n_pi"]) == (6, 4)
 
+    def test_edges_builds_one_operator(self, tmp_path, monkeypatch):
+        built = []
+        build = lattice.real_space_floquet
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "real_space_floquet", counting_build)
+        rc = run(["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--length", "40"],
+                 tmp_path)
+        assert rc == 0
+        assert len(built) == 1
+        assert read_json(tmp_path / "edges.json")["edge_cells"] == 4
+
+    @pytest.mark.parametrize("frame", ["sym1", "sym2"])
+    def test_edges_writes_the_open_spectrum(self, tmp_path, frame):
+        point = ["--tx", "2.5pi", "--ty", "0.5pi", "--frame", frame, "--length", "40",
+                 "--edge-cells", "3"]
+        assert run(["edges", *point], tmp_path / "edges") == 0
+        assert run(["spectrum", *point, "--boundary", "open"], tmp_path / "spectrum") == 0
+        # the hash lines differ with the command; every row after them must not
+        edges_rows, spectrum_rows = (
+            (tmp_path / out / f"spectrum_{frame}.csv").read_bytes().split(b"\n", 1)[1]
+            for out in ("edges", "spectrum")
+        )
+        assert edges_rows == spectrum_rows
+        assert read_json(tmp_path / "edges" / "edges.json")["edge_cells"] == 3
+
     def test_edges_small_gap_errors(self, tmp_path, capsys):
         rc = run(["edges", "--tx", "pi", "--ty", "0.5pi", "--length", "20"],
                  tmp_path)
@@ -255,8 +285,8 @@ class TestBadInput:
         [
             (["phase-diagram", "--cells", "0"], "--cells"),
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "0"], "--steps"),
-            (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"], None),
-            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"], None),
+            (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "3"], "--length"),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "2"], "--length"),
             (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
               "--omega-ref", "0"], "--omega-ref"),
             (["quench", "--tx", "nan", "--ty", "0.5pi"], "--tx"),

@@ -123,21 +123,21 @@ class TestDiagonalizeUnitary:
 
 class TestEdgeModes:
     def test_case1_counts(self):
-        assert count_edge_modes(CASE1, Frame.SYM1, 40) == (2, 0)
+        assert count_edge_modes(CASE1, Frame.SYM1, 40)[:2] == (2, 0)
 
     def test_case2_counts(self):
-        assert count_edge_modes(CASE2, Frame.SYM1, 60) == (6, 4)
+        assert count_edge_modes(CASE2, Frame.SYM1, 60)[:2] == (6, 4)
 
     def test_counts_stable_under_growth(self):
-        assert count_edge_modes(CASE1, Frame.SYM1, 50) == (2, 0)
-        assert count_edge_modes(CASE2, Frame.SYM1, 70) == (6, 4)
+        assert count_edge_modes(CASE1, Frame.SYM1, 50)[:2] == (2, 0)
+        assert count_edge_modes(CASE2, Frame.SYM1, 70)[:2] == (6, 4)
 
     def test_weak_drive_counts(self):
         # the weak-drive corner region shares the (nu0, nu_pi) = (1, 0)
         # phase of (pi/2, pi/2): one zero mode per edge (diagonalization
         # oracle; the drive has no invariant-free region anywhere)
-        assert count_edge_modes(ModelParams(0.1, 0.1), Frame.SYM1, 40) == (2, 0)
-        assert count_edge_modes(ModelParams(0.1, 0.1), Frame.SYM1, 50) == (2, 0)
+        assert count_edge_modes(ModelParams(0.1, 0.1), Frame.SYM1, 40)[:2] == (2, 0)
+        assert count_edge_modes(ModelParams(0.1, 0.1), Frame.SYM1, 50)[:2] == (2, 0)
 
     def test_counts_match_invariants(self, rng):
         # L must exceed twice the localization length, which grows with the
@@ -148,7 +148,7 @@ class TestEdgeModes:
         )
         for params in params_list:
             inv = gap_invariants(params)
-            n_zero, n_pi = count_edge_modes(params, Frame.SYM1, 160)
+            n_zero, n_pi, _ = count_edge_modes(params, Frame.SYM1, 160)
             assert (n_zero, n_pi) == (2 * abs(inv.nu0), 2 * abs(inv.nu_pi))
 
     @pytest.mark.parametrize("weight_tol", [0.0, 1.0, 2.0, np.nan])
@@ -162,5 +162,5 @@ class TestEdgeModes:
             count_edge_modes(ModelParams(np.pi, 0.5 * np.pi), Frame.SYM1, 20)
 
     def test_frame_choice_does_not_change_counts(self):
-        assert count_edge_modes(CASE2, Frame.SYM2, 60) == (6, 4)
-        assert count_edge_modes(CASE2, Frame.PLAIN, 60) == (6, 4)
+        assert count_edge_modes(CASE2, Frame.SYM2, 60)[:2] == (6, 4)
+        assert count_edge_modes(CASE2, Frame.PLAIN, 60)[:2] == (6, 4)
