@@ -9,17 +9,15 @@ correspondence on open lattices, and compiles pulse schedules.
 
 __version__ = "0.1.0"
 
-from .model import BlochAxis, Frame, ModelParams, bloch_axis, floquet_operator, quasienergy
+from .model import Frame, ModelParams, floquet_operator, quasienergy
 from .quench import QuenchSpec, evolve_polarizations, winding_from_quench
 from .topology import InvariantPair, gap_invariants, min_gap, phase_diagram, winding_number
 
 __all__ = [
-    "BlochAxis",
     "Frame",
     "InvariantPair",
     "ModelParams",
     "QuenchSpec",
-    "bloch_axis",
     "evolve_polarizations",
     "floquet_operator",
     "gap_invariants",

@@ -67,14 +67,6 @@ class ModelParams:
             raise ValueError("drive amplitudes must be finite")
 
 
-@dataclass(frozen=True)
-class BlochAxis:
-    """Quasienergy E in [0, pi] and the unit axis n of U = exp(-i E n.sigma)."""
-
-    energy: float
-    n: np.ndarray
-
-
 def step_angles(k, params: ModelParams):
     """Rotation angles (theta_x, theta_y) = (tx*cos k, ty*sin k)."""
     k = np.asarray(k, dtype=float)
@@ -92,14 +84,20 @@ def floquet_operator(k, params: ModelParams, frame: Frame) -> np.ndarray:
 
 
 def quasienergy(k, params: ModelParams):
-    """Positive-branch quasienergy E = arccos(cos theta_x * cos theta_y)."""
+    """Positive-branch quasienergy E in [0, pi], cos E = cos theta_x cos theta_y.
+
+    Taken as atan2(sin E, cos E) with sin E = hypot(sin theta_x cos theta_y,
+    sin theta_y), so neither argument cancels near E = 0 or E = pi, where
+    arccos(cos E) would lose digits.
+    """
     thx, thy = step_angles(k, params)
-    return np.arccos(np.clip(np.cos(thx) * np.cos(thy), -1.0, 1.0))
+    cos_y = np.cos(thy)
+    return np.arctan2(np.hypot(np.sin(thx) * cos_y, np.sin(thy)), np.cos(thx) * cos_y)
 
 
-def axis_field(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP):
-    """Vectorized bloch_axis: (E array, n array of shape (..., 3)), with n
-    on the full branch E in [0, pi].
+def axis_field(k, params: ModelParams, frame: Frame):
+    """Quasienergy and unit Bloch axis: (E array, n array of shape (..., 3)),
+    with n on the full branch E in [0, pi].
 
     The frame operators are SU(2) products, so their raw Pauli moments
     i*tr(U sigma)/2 are already real and equal sin(E)*n on the full branch;
@@ -110,7 +108,7 @@ def axis_field(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP):
     k = np.asarray(k, dtype=float)
     energy = quasienergy(k, params)
     sin_e = np.sin(energy)
-    gapless = (energy < tol_gap) | (np.pi - energy < tol_gap)
+    gapless = (energy < TOL_GAP) | (np.pi - energy < TOL_GAP)
     if np.any(gapless):
         raise GaplessPointError(
             "gapless point: quasienergy within tol_gap of 0 or pi"
@@ -124,15 +122,6 @@ def axis_field(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP):
         axis=-1,
     )
     return energy, n
-
-
-def bloch_axis(k, params: ModelParams, frame: Frame, tol_gap: float = TOL_GAP) -> BlochAxis:
-    """Quasienergy and unit Bloch axis at a single momentum.
-
-    Raises GaplessPointError when E(k) is within tol_gap of 0 or pi.
-    """
-    energy, n = axis_field(float(k), params, frame, tol_gap)
-    return BlochAxis(energy=float(energy), n=n)
 
 
 def brillouin_grid(resolution: int) -> np.ndarray:

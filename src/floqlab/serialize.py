@@ -55,8 +55,3 @@ def write_json(path, payload: dict, cfg_hash: str) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)

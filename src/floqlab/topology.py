@@ -103,10 +103,14 @@ def min_gap(
 ) -> float:
     """Minimum distance of E(k) to the gap center (0 or pi).
 
-    Scans the momentum grid and then refines every local minimum by
-    golden-section search; a pure grid minimum can overshoot the true gap
-    by orders of magnitude when a closing sits between grid points, which
-    would let effectively gapless parameters through boundary detection.
+    Scans the momentum grid, then narrows the bracket [k - h, k + h] around
+    every local grid minimum k (h the grid step) by 50 golden-section steps.
+    Each step evaluates both interior points afresh and keeps [a, d] where
+    f(c) < f(d), else [c, b].  The result is the smaller of the grid minimum
+    and f at the final bracket centres.  A pure grid minimum can overshoot
+    the true gap by orders of magnitude when a closing sits between grid
+    points, which would let effectively gapless parameters through boundary
+    detection.
     """
     ks = brillouin_grid(resolution)
     energies = quasienergy(ks, params)
@@ -119,31 +123,14 @@ def min_gap(
     else:
         raise ValueError("which must be 0 or 'pi'")
     local = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
-    idx = np.where(local)[0]
-    if idx.size == 0:
-        return float(values.min())
     h = 2.0 * np.pi / resolution
-    lo, hi = ks[idx] - h, ks[idx] + h
+    a, b = ks[local] - h, ks[local] + h
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
     for _ in range(50):
-        take_left = fc < fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        d = np.where(take_left, c, d)
-        c = np.where(take_left, b - invphi * (b - a), d)
-        fd = np.where(take_left, fc, fd)
-        fc = np.where(take_left, f(c), fc)
-        # symmetric update for the right branch
-        c2 = np.where(take_left, c, c)
-        d2 = a + invphi * (b - a)
-        fd = np.where(take_left, fd, f(d2))
-        d = np.where(take_left, d, d2)
-    refined = np.minimum(fc, fd)
-    return float(min(values.min(), refined.min()))
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        keep_left = f(c) < f(d)
+        a, b = np.where(keep_left, a, c), np.where(keep_left, d, b)
+    return float(min(values.min(), f((a + b) / 2.0).min()))
 
 
 @dataclass(frozen=True)
@@ -164,12 +151,6 @@ class PhaseDiagram:
     resolution: int
     boundary_tol: float
     cells: list = field(default_factory=list)  # row-major, ty fastest
-
-    def cell_at(self, tx: float, ty: float) -> PhaseDiagramCell:
-        """Cell whose center is nearest to (tx, ty)."""
-        return min(
-            self.cells, key=lambda c: (c.tx - tx) ** 2 + (c.ty - ty) ** 2
-        )
 
 
 def _cell_centers(lo: float, hi: float, count: int) -> np.ndarray:

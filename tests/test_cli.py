@@ -6,7 +6,6 @@ import pytest
 
 from floqlab import lattice
 from floqlab.cli import main, parse_angle
-from floqlab.serialize import read_json
 
 
 def run(args, tmp_path, extra=()):
@@ -41,7 +40,7 @@ class TestQuenchCommand:
         rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "60"],
                  tmp_path)
         assert rc == 0
-        report = read_json(tmp_path / "bis_report.json")
+        report = json.loads((tmp_path / "bis_report.json").read_text())
         assert report["nu0"] == 1 and report["nu_pi"] == 0
         assert report["frames"]["sym1"]["nu"] == 1
         assert report["frames"]["sym2"]["nu"] == 1
@@ -53,7 +52,7 @@ class TestQuenchCommand:
     def test_case2_report(self, tmp_path):
         rc = run(["quench", "--tx", "2.5pi", "--ty", "0.5pi"], tmp_path)
         assert rc == 0
-        report = read_json(tmp_path / "bis_report.json")
+        report = json.loads((tmp_path / "bis_report.json").read_text())
         assert (report["nu0"], report["nu_pi"]) == (3, -2)
         assert len(report["frames"]["sym2"]["bis"]) == 10
 
@@ -86,7 +85,7 @@ class TestQuenchCommand:
         rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--frame", "sym2"],
                  tmp_path)
         assert rc == 0
-        report = read_json(tmp_path / "bis_report.json")
+        report = json.loads((tmp_path / "bis_report.json").read_text())
         assert "nu0" not in report
         assert report["frames"]["sym2"]["nu"] == 1
         assert not (tmp_path / "quench_sym1.csv").exists()
@@ -99,8 +98,8 @@ class TestQuenchCommand:
                       "--shots", "20000", "--seed", "7"], out)
             assert rc == 0
         assert (a / "quench_sym1.csv").read_bytes() == (b / "quench_sym1.csv").read_bytes()
-        ja = read_json(a / "bis_report.json")
-        jb = read_json(b / "bis_report.json")
+        ja = json.loads((a / "bis_report.json").read_text())
+        jb = json.loads((b / "bis_report.json").read_text())
         ja["meta"].pop("created"), jb["meta"].pop("created")
         assert ja == jb
 
@@ -115,7 +114,7 @@ class TestPhaseDiagramCommand:
         assert len(rows) == 1
         assert (int(rows[0]["nu0"]), int(rows[0]["nu_pi"])) == (3, -2)
         assert rows[0]["boundary_flag"] == "0"
-        summary = read_json(tmp_path / "phase_diagram.json")
+        summary = json.loads((tmp_path / "phase_diagram.json").read_text())
         assert summary["phase_counts"] == {"(3,-2)": 1}
 
     def test_boundary_cell_blank_invariants(self, tmp_path):
@@ -149,7 +148,7 @@ class TestEdgesAndSpectrumCommands:
         rc = run(["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "40"],
                  tmp_path)
         assert rc == 0
-        report = read_json(tmp_path / "edges.json")
+        report = json.loads((tmp_path / "edges.json").read_text())
         assert (report["n_zero"], report["n_pi"]) == (2, 0)
         rows = read_csv(tmp_path / "spectrum_sym1.csv")
         assert len(rows) == 80
@@ -158,7 +157,7 @@ class TestEdgesAndSpectrumCommands:
         rc = run(["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--length", "60"],
                  tmp_path)
         assert rc == 0
-        report = read_json(tmp_path / "edges.json")
+        report = json.loads((tmp_path / "edges.json").read_text())
         assert (report["n_zero"], report["n_pi"]) == (6, 4)
 
     def test_edges_builds_one_operator(self, tmp_path, monkeypatch):
@@ -174,7 +173,7 @@ class TestEdgesAndSpectrumCommands:
                  tmp_path)
         assert rc == 0
         assert len(built) == 1
-        assert read_json(tmp_path / "edges.json")["edge_cells"] == 4
+        assert json.loads((tmp_path / "edges.json").read_text())["edge_cells"] == 4
 
     @pytest.mark.parametrize("frame", ["sym1", "sym2"])
     def test_edges_writes_the_open_spectrum(self, tmp_path, frame):
@@ -188,7 +187,7 @@ class TestEdgesAndSpectrumCommands:
             for out in ("edges", "spectrum")
         )
         assert edges_rows == spectrum_rows
-        assert read_json(tmp_path / "edges" / "edges.json")["edge_cells"] == 3
+        assert json.loads((tmp_path / "edges" / "edges.json").read_text())["edge_cells"] == 3
 
     def test_edges_small_gap_errors(self, tmp_path, capsys):
         rc = run(["edges", "--tx", "pi", "--ty", "0.5pi", "--length", "20"],
@@ -212,7 +211,7 @@ class TestPulsesCommand:
                   "--frame", "sym1", "--periods", "10", "--omega-ref", "1e6"],
                  tmp_path)
         assert rc == 0
-        sched = read_json(tmp_path / "schedule.json")
+        sched = json.loads((tmp_path / "schedule.json").read_text())
         assert len(sched["pulses"]) == 30
         assert sched["omega_ref_hz"] == 1e6
 
@@ -220,7 +219,7 @@ class TestPulsesCommand:
         rc = run(["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
                   "--periods", "5", "--omega-ref", "1e6", "--verify"], tmp_path)
         assert rc == 0
-        sched = read_json(tmp_path / "schedule.json")
+        sched = json.loads((tmp_path / "schedule.json").read_text())
         assert sched["verify_distance"] < 1e-10
 
     def test_x_pulses_elided_where_theta_x_vanishes(self, tmp_path):
@@ -228,7 +227,7 @@ class TestPulsesCommand:
                   "--frame", "sym2", "--periods", "2", "--omega-ref", "1e6"],
                  tmp_path)
         assert rc == 0
-        sched = read_json(tmp_path / "schedule.json")
+        sched = json.loads((tmp_path / "schedule.json").read_text())
         phases = {p["phase_deg"] for p in sched["pulses"]}
         assert phases <= {90, 270}  # only y-axis pulses remain
 
@@ -241,7 +240,7 @@ class TestConfigFile:
         rc = main(["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--grid", "128",
                    "--config", str(cfg), "-o", str(out)])
         assert rc == 0
-        report = read_json(out / "bis_report.json")
+        report = json.loads((out / "bis_report.json").read_text())
         assert report["config"]["steps"] == 10      # from the config file
         assert report["config"]["grid"] == 128      # explicit flag wins
 
@@ -251,7 +250,7 @@ class TestConfigFile:
         rc = main(["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
                    "--omega-ref", "1e6", "--config", str(cfg), "-o", str(tmp_path)])
         assert rc == 0
-        assert read_json(tmp_path / "schedule.json")["config"]["periods"] == 3
+        assert json.loads((tmp_path / "schedule.json").read_text())["config"]["periods"] == 3
 
     def test_explicit_output_dir_beats_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,6 @@ from floqlab.model import (
     Frame,
     ModelParams,
     axis_field,
-    bloch_axis,
     brillouin_grid,
     floquet_operator,
     quasienergy,
@@ -56,11 +55,10 @@ class TestFrame:
         "call",
         [
             lambda: axis_field(0.1, CASE1, Frame.PLAIN),
-            lambda: bloch_axis(0.1, CASE1, Frame.PLAIN),
             lambda: winding_number(CASE1, Frame.PLAIN),
             lambda: QuenchSpec(CASE1, Frame.PLAIN),
         ],
-        ids=["axis_field", "bloch_axis", "winding_number", "QuenchSpec"],
+        ids=["axis_field", "winding_number", "QuenchSpec"],
     )
     def test_plain_frame_rejected(self, call):
         with pytest.raises(ValueError, match="symmetric frame"):
@@ -143,14 +141,14 @@ class TestQuasienergy:
 class TestBlochAxis:
     def test_pure_y_rotation_point(self, sym_frame):
         # theta_x = 0 at k = pi/2: both frames reduce to the y rotation
-        ax = bloch_axis(np.pi / 2, CASE1, sym_frame)
-        assert ax.energy == pytest.approx(np.pi / 2)
-        assert np.allclose(ax.n, [0, 1, 0], atol=1e-12)
+        energy, n = axis_field(np.pi / 2, CASE1, sym_frame)
+        assert energy == pytest.approx(np.pi / 2)
+        assert np.allclose(n, [0, 1, 0], atol=1e-12)
 
     def test_pure_x_rotation_point(self, sym_frame):
-        ax = bloch_axis(0.0, CASE1, sym_frame)
-        assert ax.energy == pytest.approx(np.pi / 2)
-        assert np.allclose(ax.n, [1, 0, 0], atol=1e-12)
+        energy, n = axis_field(0.0, CASE1, sym_frame)
+        assert energy == pytest.approx(np.pi / 2)
+        assert np.allclose(n, [1, 0, 0], atol=1e-12)
 
     def test_matches_symbolic_product_expansion(self, rng, sym_frame):
         ks = rng.uniform(-np.pi, np.pi, size=64)
@@ -168,7 +166,7 @@ class TestBlochAxis:
 
     def test_gapless_point_rejected(self, sym_frame):
         with pytest.raises(GaplessPointError, match="gapless point"):
-            bloch_axis(0.0, ModelParams(np.pi, 0.5 * np.pi), sym_frame)
+            axis_field(0.0, ModelParams(np.pi, 0.5 * np.pi), sym_frame)
 
     def test_continuous_across_cos_e_sign_change(self):
         # case 2 has cos E crossing zero inside the zone; the axis field

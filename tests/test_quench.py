@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CASE1, CASE2, expectation, random_nonboundary_params, spin_state
@@ -77,6 +77,8 @@ class TestEvolvePolarizations:
         steps=st.integers(1, 80),
         frame=st.sampled_from([Frame.SYM1, Frame.SYM2]),
     )
+    # E is about 0.017 here; E taken as arccos(cos E) gives an error of 1.04e-12
+    @example(tx=0.0078125, ty=0.015625, steps=49, frame=Frame.SYM2)
     def test_matches_spinor_oracle_on_gapped_drives(self, tx, ty, steps, frame):
         params = ModelParams(tx, ty)
         energy = quasienergy(brillouin_grid(32), params)

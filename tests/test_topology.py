@@ -130,16 +130,13 @@ class TestMinGap:
 
     def test_matches_direct_scan(self):
         # the refinement goes below the 2048-grid minimum by design, so the
-        # reference is a 2^22-point scan
-        gap0, gap_pi = _dense_gap_minima(CASE2)
-        assert min_gap(CASE2, 0) == pytest.approx(gap0)
-        assert min_gap(CASE2, "pi") == pytest.approx(gap_pi)
+        # reference is a 2^22-point scan; (1.325pi, 1.525pi) has a 0-gap of
+        # 9.03e-4 between grid points
+        for params in (CASE2, ModelParams(1.325 * np.pi, 1.525 * np.pi)):
+            gap0, gap_pi = _dense_gap_minima(params)
+            assert min_gap(params, 0) == pytest.approx(gap0)
+            assert min_gap(params, "pi") == pytest.approx(gap_pi)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="min_gap's golden-section loop leaves fc stale on the right "
-        "branch and stops at 5.5e-3 on the 0-gap closing curve (ROADMAP item 0)",
-    )
     @pytest.mark.parametrize(
         "tx,ty", [(1.075 * np.pi, 2.725 * np.pi), (2.725 * np.pi, 1.075 * np.pi)]
     )
@@ -149,6 +146,23 @@ class TestMinGap:
         gap0, _ = _dense_gap_minima(params)
         assert gap0 < 4.1e-6
         assert min_gap(params, 0) <= gap0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.integers(1, 2),
+        b=st.integers(1, 2),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_closes_on_the_drive_closing_curves(self, a, b, u):
+        # cos E = cos(tx cos k) cos(ty sin k) reaches +-1 only where
+        # tx cos k = a pi and ty sin k = b pi, i.e. on
+        # (a pi / tx)^2 + (b pi / ty)^2 = 1; the 0 gap closes there when
+        # a + b is even and the pi gap when it is odd.  phi ranges over the
+        # part of the curve with tx and ty in [0, 3pi].
+        lo, hi = np.arcsin(b / 3.0), np.arccos(a / 3.0)
+        phi = lo + u * (hi - lo)
+        params = ModelParams(a * np.pi / np.cos(phi), b * np.pi / np.sin(phi))
+        assert min_gap(params, "pi" if (a + b) % 2 else 0) <= 1e-6
 
 
 class TestPhaseDiagram:
@@ -174,8 +188,10 @@ class TestPhaseDiagram:
     def test_grid_covers_both_paper_cells(self):
         pd = phase_diagram((0.2, 3 * np.pi - 0.2), (0.2, 3 * np.pi - 0.2),
                            cells=10, resolution=512)
-        c1 = pd.cell_at(CASE1.tx, CASE1.ty)
-        c2 = pd.cell_at(CASE2.tx, CASE2.ty)
+        c1, c2 = (
+            min(pd.cells, key=lambda c: (c.tx - p.tx) ** 2 + (c.ty - p.ty) ** 2)
+            for p in (CASE1, CASE2)
+        )
         assert c1.invariants == InvariantPair(1, 0)
         assert c2.invariants == InvariantPair(3, -2)
 
