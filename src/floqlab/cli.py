@@ -16,12 +16,18 @@ import numpy as np
 
 from . import __version__
 from .errors import FloqlabError, NoBisError
-from .lattice import MIN_CELLS, count_edge_modes, lattice_spectrum
+from .lattice import E_TOL, MIN_CELLS, WEIGHT_TOL, count_edge_modes, lattice_spectrum
 from .model import Frame, ModelParams
 from .pulsegen import compile_schedule, verify_schedule
-from .quench import QuenchSpec, bis_report, evolve_polarizations
+from .quench import DEFAULT_GRID, DEFAULT_STEPS, QuenchSpec, bis_report, evolve_polarizations
 from .serialize import config_hash, write_csv, write_json
-from .topology import BOUNDARY_TOL, DEFAULT_RESOLUTION, phase_diagram
+from .topology import (
+    BOUNDARY_TOL,
+    DEFAULT_CELLS,
+    DEFAULT_RANGE,
+    DEFAULT_RESOLUTION,
+    phase_diagram,
+)
 
 VERIFY_DISTANCE = 1e-10
 
@@ -98,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-diagram", help="invariants over a (tx, ty) grid")
     _add_common(p)
-    p.add_argument("--tx-min", type=parse_angle, default=0.0)
-    p.add_argument("--tx-max", type=parse_angle, default=3 * np.pi)
-    p.add_argument("--ty-min", type=parse_angle, default=0.0)
-    p.add_argument("--ty-max", type=parse_angle, default=3 * np.pi)
-    p.add_argument("--cells", type=positive_int, default=60, help="cells per axis")
+    p.add_argument("--tx-min", type=parse_angle, default=DEFAULT_RANGE[0])
+    p.add_argument("--tx-max", type=parse_angle, default=DEFAULT_RANGE[1])
+    p.add_argument("--ty-min", type=parse_angle, default=DEFAULT_RANGE[0])
+    p.add_argument("--ty-max", type=parse_angle, default=DEFAULT_RANGE[1])
+    p.add_argument("--cells", type=positive_int, default=DEFAULT_CELLS,
+                   help="cells per axis")
     p.add_argument("--resolution", type=positive_int, default=DEFAULT_RESOLUTION)
     p.add_argument("--boundary-tol", type=positive_float, default=BOUNDARY_TOL)
     p.set_defaults(func=cmd_phase_diagram)
@@ -112,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tx", type=parse_angle, required=True)
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", choices=["sym1", "sym2", "both"], default="both")
-    p.add_argument("--steps", type=positive_int, default=60)
-    p.add_argument("--grid", type=positive_int, default=512)
+    p.add_argument("--steps", type=positive_int, default=DEFAULT_STEPS)
+    p.add_argument("--grid", type=positive_int, default=DEFAULT_GRID)
     p.add_argument("--shots", type=positive_int, default=None)
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--floor-tol", type=positive_float, default=None)
@@ -135,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ty", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--length", type=chain_length, default=40)
-    p.add_argument("--e-tol", type=positive_float, default=1e-3)
+    p.add_argument("--e-tol", type=positive_float, default=E_TOL)
     p.add_argument("--edge-cells", type=positive_int, default=None)
-    p.add_argument("--weight-tol", type=probability, default=0.5)
+    p.add_argument("--weight-tol", type=probability, default=WEIGHT_TOL)
     p.set_defaults(func=cmd_edges)
 
     p = sub.add_parser("pulses", help="compile a frame evolution to pulses")
@@ -265,7 +272,7 @@ def cmd_quench(args) -> int:
         )
         trace = evolve_polarizations(spec)
         sx, sy = trace.measured
-        ex, ey = np.zeros_like(trace.avg) if trace.stderr is None else trace.stderr
+        ex, ey = trace.stderr
         write_csv(
             args.output_dir / f"quench_{frame.value}.csv",
             ["k", "sigma_x_avg", "sigma_y_avg", "stderr_x", "stderr_y"],

@@ -16,8 +16,15 @@ class GaplessPointError(FloqlabError):
 
 class InsufficientResolutionError(FloqlabError):
     """A grid-based winding integrator could not bound its per-step angle
-    change.  The package counts windings exactly and no longer raises this;
-    it stays defined for code that catches it."""
+    change.  The package counts windings exactly and never raises this.  It
+    stays defined only because perfbench/test_perfbench.py imports it;
+    ROADMAP item 8 deletes it once the benchmark stops doing so."""
+
+
+class ParityError(FloqlabError):
+    """Two windings that must share a parity do not: the frame windings of
+    gap_invariants, or the slope sum of one quench frame (an unpaired
+    inversion point)."""
 
 
 class NoBisError(FloqlabError):

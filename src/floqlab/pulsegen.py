@@ -8,7 +8,6 @@ durations follow duration = angle / omega_ref for a reference Rabi rate
 omega_ref (rad/s).
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,19 +66,6 @@ class PulseSchedule:
                 for p in self.pulses
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PulseSchedule":
-        if data.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(f"unsupported schedule format {data.get('format')!r}")
-        pulses = [
-            Pulse(int(e["phase_deg"]), float(e["angle_rad"]), float(e["duration_s"]))
-            for e in data["pulses"]
-        ]
-        return cls(omega_ref=float(data["omega_ref_hz"]), pulses=pulses)
 
 
 def _make_pulse(axis: str, angle: float, omega_ref: float) -> Pulse:

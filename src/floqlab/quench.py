@@ -8,14 +8,15 @@ momenta where the quench-direction component of the Bloch axis vanishes;
 there the time-averaged polarization along the quench axis dips to zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousSlopeError, NoBisError
+from .errors import AmbiguousSlopeError, NoBisError, ParityError
 from .model import Frame, ModelParams, axis_field, brillouin_grid
 
 DEFAULT_GRID = 512
+DEFAULT_STEPS = 60
 
 # Detection floor for |time-averaged quench polarization| at an inversion.
 # Finite N leaves the averages "not strictly zero"; on top of the base
@@ -38,7 +39,7 @@ _DEDUP_TOL = 1e-6
 class QuenchSpec:
     params: ModelParams
     frame: Frame
-    steps: int = 60
+    steps: int = DEFAULT_STEPS
     resolution: int = DEFAULT_GRID
     shots: int | None = None
     seed: int = 0
@@ -58,14 +59,8 @@ class PolarizationTrace:
     energy: np.ndarray      # quasienergy E on the grid
     n: np.ndarray           # Bloch axis on the grid, shape (resolution, 3)
     s_t: np.ndarray         # (x, y) spin, shape (2, resolution, steps), t = 1..N
-    avg: np.ndarray         # arithmetic mean over t = 1..N, shape (2, resolution)
-    sampled: np.ndarray | None = None
-    stderr: np.ndarray | None = None
-
-    @property
-    def measured(self) -> np.ndarray:
-        """Measured (x, y) time averages: the sampled ones if present."""
-        return self.avg if self.sampled is None else self.sampled
+    measured: np.ndarray    # (x, y) means over t = 1..N, sampled if spec.shots is set
+    stderr: np.ndarray      # standard errors of `measured`; zeros when noise-free
 
 
 @dataclass(frozen=True)
@@ -78,10 +73,8 @@ class BisSlope:
 
 @dataclass(frozen=True)
 class BisReport:
-    spec: QuenchSpec
-    bis: list = field(default_factory=list)        # momenta in (-pi, pi]
-    slopes: list = field(default_factory=list)     # BisSlope per momentum
-    nu: int = 0
+    slopes: list    # BisSlope per inversion momentum in (-pi, pi], ascending
+    nu: int
 
 
 def sample_shots(polarization, shots: int, seed) -> tuple:
@@ -110,8 +103,8 @@ def _stream_seed(master: int, k_index: int, observable: str):
 
 
 def evolve_polarizations(spec: QuenchSpec) -> PolarizationTrace:
-    """Noise-free stroboscopic traces; optional per-point binomial sampling
-    of the time averages when spec.shots is set.
+    """Stroboscopic traces and their time averages, sampled per point with
+    binomial shot noise when spec.shots is set.
 
     Each period turns the spin by 2E about the in-plane axis n, so the
     initial -e_q spin reads s(t) = -n_q n (1 - cos 2tE) - cos(2tE) e_q.
@@ -123,11 +116,11 @@ def evolve_polarizations(spec: QuenchSpec) -> PolarizationTrace:
     c = np.cos(2.0 * np.outer(energy, np.arange(1, spec.steps + 1)))
     s_t = -(n[:, q] * n[:, :2].T)[:, :, None] * (1.0 - c)
     s_t[q] -= c
-    trace = PolarizationTrace(spec, ks, energy, n, s_t, s_t.mean(axis=2))
-    if spec.shots is not None:
-        est, err = zip(*(_sample_grid(trace.avg[a], spec, "xy"[a]) for a in (0, 1)))
-        trace.sampled, trace.stderr = np.array(est), np.array(err)
-    return trace
+    avg = s_t.mean(axis=2)
+    if spec.shots is None:
+        return PolarizationTrace(spec, ks, energy, n, s_t, avg, np.zeros_like(avg))
+    est, err = zip(*(_sample_grid(avg[a], spec, "xy"[a]) for a in (0, 1)))
+    return PolarizationTrace(spec, ks, energy, n, s_t, np.array(est), np.array(err))
 
 
 def _sample_grid(avg, spec: QuenchSpec, observable: str):
@@ -196,7 +189,7 @@ def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
             if np.signbit(fm) == np.signbit(fa):
                 a, fa = m, fm
             else:
-                b, fb = m, fm
+                b = m
         roots.append(0.5 * (a + b))
 
     out = []
@@ -265,8 +258,8 @@ def bis_report(trace: PolarizationTrace, floor_tol: float | None = None) -> BisR
     for s in slopes:
         acc += s.g if s.positive_group else -s.g
     if acc % 2:
-        raise RuntimeError("unpaired inversion points: slope sum is odd")
-    return BisReport(spec=trace.spec, bis=momenta, slopes=slopes, nu=acc // 2)
+        raise ParityError("unpaired inversion points: slope sum is odd")
+    return BisReport(slopes=slopes, nu=acc // 2)
 
 
 def winding_from_quench(spec: QuenchSpec) -> int:

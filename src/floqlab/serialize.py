@@ -3,7 +3,9 @@
 Every file embeds the run's config hash and a format version.  JSON files
 carry them in a "meta" object (together with the only timestamp written
 anywhere); CSV files start with a single `#`-comment line, so identical
-config and seed reproduce byte-identical CSVs.
+config and seed reproduce byte-identical CSVs.  The hashed config holds
+every option of the command with the value it took, defaults included, so
+moving a default moves the hash.
 """
 
 import csv
@@ -35,11 +37,7 @@ def write_csv(path, columns, rows, cfg_hash: str) -> None:
 
 
 def _cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return int(value)
-    return value
+    return repr(value) if isinstance(value, float) else value
 
 
 def write_json(path, payload: dict, cfg_hash: str) -> None:

@@ -1,13 +1,17 @@
 """Winding numbers, gap invariants, and the (tx, ty) phase diagram."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessPointError
+from .errors import GaplessPointError, ParityError
 from .model import TOL_GAP, Frame, ModelParams, axis_field, brillouin_grid, quasienergy
 
 DEFAULT_RESOLUTION = 2048
+
+# The default phase diagram: cells per axis over [0, 3pi] in tx and ty.
+DEFAULT_CELLS = 60
+DEFAULT_RANGE = (0.0, 3.0 * np.pi)
 
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
@@ -68,7 +72,9 @@ def winding_integral(
     """Secondary oracle: trapezoid rule for (1/2pi) \\int (nx dny - ny dnx).
 
     Returns the raw (unrounded) integral; derivative by centered differences
-    on the periodic grid.
+    on the periodic grid.  Only tests call it: it stays here because
+    perfbench/test_perfbench.py imports it, and ROADMAP item 8 moves it into
+    tests/conftest.py once the benchmark stops doing so.
     """
     ks = brillouin_grid(resolution)
     _, n = axis_field(ks, params, frame)
@@ -92,7 +98,7 @@ def gap_invariants(params: ModelParams) -> InvariantPair:
     nu1 = winding_number(params, Frame.SYM1)
     nu2 = winding_number(params, Frame.SYM2)
     if (nu1 + nu2) % 2:
-        raise RuntimeError(
+        raise ParityError(
             f"parity violation: frame windings {nu1}, {nu2} differ in parity"
         )
     return InvariantPair(nu0=(nu1 + nu2) // 2, nu_pi=(nu1 - nu2) // 2)
@@ -117,7 +123,7 @@ def min_gap(
     if which == 0:
         f = lambda k: quasienergy(k, params)
         values = energies
-    elif which in ("pi", np.pi):
+    elif which == "pi":
         f = lambda k: np.pi - quasienergy(k, params)
         values = np.pi - energies
     else:
@@ -145,12 +151,8 @@ class PhaseDiagramCell:
 
 @dataclass(frozen=True)
 class PhaseDiagram:
-    tx_range: tuple
-    ty_range: tuple
     cells_per_axis: tuple
-    resolution: int
-    boundary_tol: float
-    cells: list = field(default_factory=list)  # row-major, ty fastest
+    cells: list  # row-major, ty fastest
 
 
 def _cell_centers(lo: float, hi: float, count: int) -> np.ndarray:
@@ -175,9 +177,9 @@ def _evaluate_cell(
 
 
 def phase_diagram(
-    tx_range=(0.0, 3.0 * np.pi),
-    ty_range=(0.0, 3.0 * np.pi),
-    cells: int | tuple = 60,
+    tx_range=DEFAULT_RANGE,
+    ty_range=DEFAULT_RANGE,
+    cells: int | tuple = DEFAULT_CELLS,
     resolution: int = DEFAULT_RESOLUTION,
     boundary_tol: float = BOUNDARY_TOL,
 ) -> PhaseDiagram:
@@ -190,11 +192,4 @@ def phase_diagram(
         for tx in txs
         for ty in tys
     ]
-    return PhaseDiagram(
-        tx_range=(float(tx_range[0]), float(tx_range[1])),
-        ty_range=(float(ty_range[0]), float(ty_range[1])),
-        cells_per_axis=(nx, ny),
-        resolution=resolution,
-        boundary_tol=boundary_tol,
-        cells=results,
-    )
+    return PhaseDiagram(cells_per_axis=(nx, ny), cells=results)

@@ -56,6 +56,39 @@ def grid_winding(params, frame, resolution):
     return dphi.sum() / (2 * np.pi)
 
 
+def enclosed_winding(tx, ty):
+    """Exact (nu1, nu2): the indices of the lattice points the drive encloses.
+
+    As k runs over the zone, (theta_x, theta_y) = (tx cos k, ty sin k) traces
+    an ellipse in the direction sgn(tx ty).  The SYM1 field (sin theta_x
+    cos theta_y, sin theta_y) vanishes at the points (a pi, b pi) with index
+    (-1)^a, and the SYM2 field (sin theta_x, cos theta_x sin theta_y) at the
+    same points with index (-1)^b.  So each winding sums those indices over
+    the (a, b) with (a/ux)^2 + (b/uy)^2 < 1, where ux = |tx|/pi and
+    uy = |ty|/pi.
+    """
+    ux, uy = abs(tx) / np.pi, abs(ty) / np.pi
+    a = np.arange(-np.floor(ux), np.floor(ux) + 1.0)[:, None]
+    b = np.arange(-np.floor(uy), np.floor(uy) + 1.0)[None, :]
+    inside = (a / ux) ** 2 + (b / uy) ** 2 < 1.0
+    sign = np.sign(tx * ty)
+    nu1 = sign * np.sum(inside * (1.0 - 2.0 * (a % 2)))
+    nu2 = sign * np.sum(inside * (1.0 - 2.0 * (b % 2)))
+    return int(nu1), int(nu2)
+
+
+def near_drive_closing(tx, ty, rel=1e-9):
+    """True within `rel` (relative) of a gap closing of the drive: the lines
+    |tx| = a pi and |ty| = b pi (a, b >= 0), or the ellipses
+    (a pi / tx)^2 + (b pi / ty)^2 = 1 (a, b >= 1)."""
+    ux, uy = abs(tx) / np.pi, abs(ty) / np.pi
+    if any(abs(u - round(u)) <= rel * max(u, 1.0) for u in (ux, uy)):
+        return True
+    a = np.arange(1.0, np.floor(ux) + 1.0)[:, None]
+    b = np.arange(1.0, np.floor(uy) + 1.0)[None, :]
+    return bool(np.any(np.abs((a / ux) ** 2 + (b / uy) ** 2 - 1.0) <= rel))
+
+
 def random_nonboundary_params(rng, count, gap_floor=0.05, resolution=1024):
     """Seeded (tx, ty) samples in [0, 3pi]^2 with both gaps open."""
     from floqlab.topology import min_gap

@@ -73,7 +73,7 @@ def test_criterion_3_polarization_zeros_and_slopes():
     trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1, steps=60, resolution=512))
     for target in (0.0, np.pi):
         idx = np.argmin(np.abs(trace.k_grid - target)) if target else np.argmin(np.abs(trace.k_grid))
-        checks.append(abs(trace.avg[1, idx]) < 0.02)
+        checks.append(abs(trace.measured[1, idx]) < 0.02)
     rep = bis_report(trace)
     g = {round(s.k, 6): s.g for s in rep.slopes}
     checks.append(g.get(0.0) == -1 and g.get(round(np.pi, 6)) == +1)
@@ -82,7 +82,7 @@ def test_criterion_3_polarization_zeros_and_slopes():
     trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM2, steps=60, resolution=512))
     for target in (0.5 * np.pi, -0.5 * np.pi):
         idx = np.argmin(np.abs(trace.k_grid - target))
-        checks.append(abs(trace.avg[0, idx]) < 0.02)
+        checks.append(abs(trace.measured[0, idx]) < 0.02)
 
     # case 2, x quench: ten inversion points at the printed momenta with the
     # printed group classification
@@ -117,7 +117,8 @@ def test_criterion_4_shot_noise_realism():
             spec = QuenchSpec(params, frame, steps=10, resolution=512,
                               shots=10**6, seed=seed)
             trace = evolve_polarizations(spec)
-            for exact, est, err_hat in zip(trace.avg, trace.sampled, trace.stderr):
+            exact_avg = trace.s_t.mean(axis=2)
+            for exact, est, err_hat in zip(exact_avg, trace.measured, trace.stderr):
                 p = (1.0 + np.clip(exact, -1, 1)) / 2.0
                 sigma = 2.0 * np.sqrt(p * (1.0 - p) / spec.shots)
                 checks.append(bool(np.all(np.abs(est - exact) <= 4.0 * sigma + 1e-15)))

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from floqlab import lattice
+from floqlab import lattice, quench, topology
 from floqlab.cli import main, parse_angle
+from floqlab.model import Frame
 
 
 def run(args, tmp_path, extra=()):
@@ -274,6 +276,59 @@ class TestConfigFile:
                   "--config", str(cfg), "-o", str(tmp_path)])
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+
+class TestParityChecks:
+    # a correct drive cannot fail these checks, so each failure is forced
+    def assert_one_error_line(self, rc, capsys, text):
+        assert rc == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and text in errors[0]
+
+    def test_frame_windings_of_unequal_parity(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(topology, "winding_number",
+                            lambda params, frame: 1 if frame is Frame.SYM1 else 0)
+        rc = run(["phase-diagram", "--tx-min", "0.5pi", "--tx-max", "0.5pi",
+                  "--ty-min", "0.5pi", "--ty-max", "0.5pi", "--cells", "1"], tmp_path)
+        self.assert_one_error_line(rc, capsys, "parity violation")
+
+    def test_unpaired_inversion_point(self, tmp_path, capsys, monkeypatch):
+        real, calls = quench.slope_at_bis, []
+
+        def first_slope_flat(trace, k_bis):
+            calls.append(k_bis)
+            slope = real(trace, k_bis)
+            return dataclasses.replace(slope, g=0) if len(calls) == 1 else slope
+
+        monkeypatch.setattr(quench, "slope_at_bis", first_slope_flat)
+        rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi"], tmp_path)
+        self.assert_one_error_line(rc, capsys, "unpaired inversion points")
+
+
+class TestConfigHash:
+    # taken with every other flag at its default; a moved default or a
+    # dropped config key changes the hash (sha256 of canonical JSON)
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (["phase-diagram", "--cells", "2"], "9b71ab72a7b16744"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi"], "ebedc58476487060"),
+            (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi"], "b787c9345495f581"),
+            (["edges", "--tx", "0.5pi", "--ty", "0.5pi"], "48f00952a1d43189"),
+            (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+              "--omega-ref", "1e6", "--verify"], "192f086a284e5c85"),
+        ],
+        ids=["phase-diagram", "quench", "spectrum", "edges", "pulses"],
+    )
+    def test_defaults_keep_their_hash(self, tmp_path, args, expected):
+        assert run(args, tmp_path) == 0
+        hashes = set()
+        for path in tmp_path.iterdir():
+            if path.suffix == ".json":
+                hashes.add(json.loads(path.read_text())["meta"]["config_hash"])
+            else:
+                hashes.add(path.read_text().splitlines()[0].split("config_hash=")[1])
+        assert hashes == {expected}
 
 
 class TestBadInput:

@@ -105,7 +105,8 @@ class TestEvolvePolarizations:
     def test_time_average_is_arithmetic_mean(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=7, resolution=16)
         trace = evolve_polarizations(spec)
-        assert np.array_equal(trace.avg, trace.s_t.mean(axis=2))
+        assert np.array_equal(trace.measured, trace.s_t.mean(axis=2))
+        assert np.array_equal(trace.stderr, np.zeros((2, 16)))
 
     def test_case1_sym1_average_vanishes_on_inversions(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=60, resolution=512)
@@ -113,14 +114,14 @@ class TestEvolvePolarizations:
         for k_target in (0.0, np.pi):
             idx = np.argmin(np.abs(np.abs(trace.k_grid) - abs(k_target)) if k_target
                             else np.abs(trace.k_grid))
-            assert abs(trace.avg[1, idx]) < 1e-12
+            assert abs(trace.measured[1, idx]) < 1e-12
 
     def test_case1_sym2_average_vanishes_at_half_pi(self):
         spec = QuenchSpec(CASE1, Frame.SYM2, steps=60, resolution=512)
         trace = evolve_polarizations(spec)
         for k_target in (0.5 * np.pi, -0.5 * np.pi):
             idx = np.argmin(np.abs(trace.k_grid - k_target))
-            assert abs(trace.avg[0, idx]) < 1e-12
+            assert abs(trace.measured[0, idx]) < 1e-12
 
 
 class TestSampleShots:
@@ -149,7 +150,7 @@ class TestSampleShots:
                           shots=1000, seed=5)
         t1 = evolve_polarizations(spec)
         t2 = evolve_polarizations(spec)
-        assert np.array_equal(t1.sampled, t2.sampled)
+        assert np.array_equal(t1.measured, t2.measured)
         assert np.array_equal(t1.stderr, t2.stderr)
 
 
@@ -187,7 +188,7 @@ class TestFindBis:
         # yields no candidates (every zero of the axis field sits on a gap
         # closing line in this drive, so this is exercised synthetically)
         trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1))
-        trace.avg[1] = -0.9
+        trace.measured[1] = -0.9
         with pytest.raises(NoBisError, match="no BIS found"):
             find_bis(trace)
 
@@ -224,7 +225,7 @@ class TestSlopes:
 
     def test_flat_orthogonal_average_is_ambiguous(self):
         trace = evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1))
-        trace.avg[0] = 0.0
+        trace.measured[0] = 0.0
         with pytest.raises(AmbiguousSlopeError, match="ambiguous slope"):
             slope_at_bis(trace, 0.0)
 
@@ -280,7 +281,8 @@ class TestSampledPipeline:
                 spec = QuenchSpec(params, frame, steps=10, resolution=512,
                                   shots=10**6, seed=self.SEED)
                 trace = evolve_polarizations(spec)
-                for exact, est, err_hat in zip(trace.avg, trace.sampled, trace.stderr):
+                exact_avg = trace.s_t.mean(axis=2)
+                for exact, est, err_hat in zip(exact_avg, trace.measured, trace.stderr):
                     p = (1.0 + np.clip(exact, -1, 1)) / 2.0
                     sigma = 2.0 * np.sqrt(p * (1.0 - p) / spec.shots)
                     assert np.all(np.abs(est - exact) <= 4.0 * sigma + 1e-15)

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASE1, CASE2, grid_winding, random_nonboundary_params
+from conftest import (
+    CASE1,
+    CASE2,
+    enclosed_winding,
+    grid_winding,
+    near_drive_closing,
+    random_nonboundary_params,
+)
 from floqlab.errors import GaplessPointError
 from floqlab.model import Frame, ModelParams, brillouin_grid, quasienergy
 from floqlab.topology import (
@@ -50,6 +57,21 @@ class TestWindingNumber:
             for frame in (Frame.SYM1, Frame.SYM2):
                 total = grid_winding(params, frame, 4096)
                 assert abs(total - round(total)) < 1e-6
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        tx=st.floats(-40 * np.pi, 40 * np.pi),
+        ty=st.floats(-40 * np.pi, 40 * np.pi),
+    )
+    def test_counts_the_enclosed_lattice_points(self, tx, ty):
+        # Next to the closing lines tx = 0 and ty = 0 the gap at a merging
+        # inversion (|ty| near b pi) is about |tx| * |cos k|, so the band
+        # of gaps below TOL_GAP around the other lines widens as 1/t^2;
+        # amplitudes of at least 1e-4 keep that band inside rel = 1e-9.
+        assume(min(abs(tx), abs(ty)) >= 1e-4 and not near_drive_closing(tx, ty))
+        params = ModelParams(tx, ty)
+        windings = (winding_number(params, Frame.SYM1), winding_number(params, Frame.SYM2))
+        assert windings == enclosed_winding(tx, ty)
 
     @pytest.mark.parametrize("frame", [Frame.SYM1, Frame.SYM2], ids=["sym1", "sym2"])
     @settings(max_examples=60, deadline=None)
