@@ -152,10 +152,10 @@ def count_edge_modes(
     """(n_zero, n_pi, spectrum): the 0- and pi-gap edge-mode counts of the
     open-boundary operator, and the LatticeSpectrum they were counted on.
 
-    Before building the lattice, requires topology.min_gap (the momentum-space
-    gap scan at its default resolution) of both gaps to exceed 2*e_tol, so the
-    counting windows cannot pick up bulk states.  weight_tol bounds a
-    probability, so it must lie strictly between 0 and 1.
+    Before building the lattice, requires both bulk gaps, topology.min_gap at
+    its default resolution (a grid scan refined by Newton steps), to exceed
+    2*e_tol, so the counting windows cannot pick up bulk states.  weight_tol
+    bounds a probability, so it must lie strictly between 0 and 1.
     """
     if not 0 < weight_tol < 1:
         raise ValueError("weight_tol must lie strictly between 0 and 1")

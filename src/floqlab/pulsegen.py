@@ -35,11 +35,6 @@ class Pulse:
     angle: float        # radians, >= 0
     duration: float     # seconds
 
-    @property
-    def axis(self) -> str:
-        """'x' or 'y', the rotation axis up to sign."""
-        return "x" if self.phase_deg in (0, 180) else "y"
-
     def rotation_axis(self) -> np.ndarray:
         return _PHASE_AXIS[self.phase_deg]
 
@@ -48,10 +43,6 @@ class Pulse:
 class PulseSchedule:
     omega_ref: float
     pulses: list = field(default_factory=list)
-
-    @property
-    def total_duration(self) -> float:
-        return sum(p.duration for p in self.pulses)
 
     def to_dict(self) -> dict:
         return {

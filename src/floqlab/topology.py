@@ -16,6 +16,11 @@ DEFAULT_RANGE = (0.0, 3.0 * np.pi)
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
 
+# Newton steps per bracket in min_gap.  From within one grid step of a
+# simple extremum of g, Newton reaches rounding in about four; the rest
+# cover the steps that bisect.
+NEWTON_STEPS = 8
+
 
 def _crossing_count(drive: float, other: float) -> int:
     """Signed crossings of one frame's planar field through its half axis.
@@ -104,39 +109,74 @@ def gap_invariants(params: ModelParams) -> InvariantPair:
     return InvariantPair(nu0=(nu1 + nu2) // 2, nu_pi=(nu1 - nu2) // 2)
 
 
+def _cos_energy_slopes(k, params: ModelParams):
+    """g'(k) and g''(k) of g = cos E = cos theta_x cos theta_y, in closed form.
+
+    With theta_x = tx cos k and theta_y = ty sin k, theta_x'' = -theta_x and
+    theta_y'' = -theta_y.
+    """
+    cos_k, sin_k = np.cos(k), np.sin(k)
+    thx, thy = params.tx * cos_k, params.ty * sin_k
+    dthx, dthy = -params.tx * sin_k, params.ty * cos_k
+    cx, sx, cy, sy = np.cos(thx), np.sin(thx), np.cos(thy), np.sin(thy)
+    slope = -(sx * cy * dthx + cx * sy * dthy)
+    curvature = (
+        thx * sx * cy
+        + thy * cx * sy
+        + 2.0 * sx * sy * dthx * dthy
+        - cx * cy * (dthx * dthx + dthy * dthy)
+    )
+    return slope, curvature
+
+
 def min_gap(
     params: ModelParams, which, resolution: int = DEFAULT_RESOLUTION
 ) -> float:
     """Minimum distance of E(k) to the gap center (0 or pi).
 
-    Scans the momentum grid, then narrows the bracket [k - h, k + h] around
-    every local grid minimum k (h the grid step) by 50 golden-section steps.
-    Each step evaluates both interior points afresh and keeps [a, d] where
-    f(c) < f(d), else [c, b].  The result is the smaller of the grid minimum
-    and f at the final bracket centres.  A pure grid minimum can overshoot
-    the true gap by orders of magnitude when a closing sits between grid
-    points, which would let effectively gapless parameters through boundary
-    detection.
+    Scans the momentum grid, then refines every local grid minimum k inside
+    the bracket [k - h, k + h] (h the grid step) by NEWTON_STEPS Newton steps
+    on g'(k), where g = cos E = cos theta_x cos theta_y.  The 0 gap sits at a
+    maximum of g, the pi gap at a minimum.  Where g'' has the wrong sign for
+    that extremum, the step bisects toward the uphill end of the bracket
+    instead; every step is clipped to the bracket.  The result is the
+    smaller of the grid minimum and the gap at the refined momenta, both
+    from `quasienergy`.
+
+    The search runs on g rather than on E because g is smooth where the gap
+    closes, while E has a kink there (E ~ |k - k0|): Newton on g converges
+    quadratically to the closing, where a bracketing search on E needs ~50
+    steps.  A pure grid minimum can overshoot the true gap by orders of
+    magnitude when a closing sits between grid points, which would let
+    effectively gapless parameters through boundary detection.  Where two
+    closings merge (g'' = 0 at the extremum: |tx| or |ty| near a multiple of
+    pi with the other amplitude small) Newton converges only linearly, and
+    the result can exceed the true gap by a few 1e-8, far below BOUNDARY_TOL.
     """
     ks = brillouin_grid(resolution)
     energies = quasienergy(ks, params)
     if which == 0:
-        f = lambda k: quasienergy(k, params)
-        values = energies
+        sign, values = 1.0, energies
     elif which == "pi":
-        f = lambda k: np.pi - quasienergy(k, params)
-        values = np.pi - energies
+        sign, values = -1.0, np.pi - energies
     else:
         raise ValueError("which must be 0 or 'pi'")
     local = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
     h = 2.0 * np.pi / resolution
-    a, b = ks[local] - h, ks[local] + h
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(50):
-        c, d = b - invphi * (b - a), a + invphi * (b - a)
-        keep_left = f(c) < f(d)
-        a, b = np.where(keep_left, a, c), np.where(keep_left, d, b)
-    return float(min(values.min(), f((a + b) / 2.0).min()))
+    k = ks[local]
+    lo, hi = k - h, k + h
+    # Newton on sign * g, so the extremum sought is always a maximum.
+    for _ in range(NEWTON_STEPS):
+        slope, curvature = _cos_energy_slopes(k, params)
+        slope, curvature = sign * slope, sign * curvature
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(k - slope / curvature, lo, hi)
+        bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
+        k = np.where(curvature < 0.0, newton, bisect)
+    refined = quasienergy(k, params)
+    if which == "pi":
+        refined = np.pi - refined
+    return float(min(values.min(), refined.min()))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,35 @@ def near_drive_closing(tx, ty, rel=1e-9):
     return bool(np.any(np.abs((a / ux) ** 2 + (b / uy) ** 2 - 1.0) <= rel))
 
 
+def golden_min_gap(params, which, resolution=2048):
+    """Oracle for topology.min_gap: the same grid scan and brackets, refined
+    by 50 golden-section steps on E itself instead of Newton steps on cos E.
+
+    Each step evaluates both interior points afresh and keeps [a, d] where
+    f(c) < f(d), else [c, b]; the result is the smaller of the grid minimum
+    and f at the final bracket centres.
+    """
+    from floqlab.model import brillouin_grid, quasienergy
+
+    ks = brillouin_grid(resolution)
+    energies = quasienergy(ks, params)
+    if which == 0:
+        f = lambda k: quasienergy(k, params)
+        values = energies
+    else:
+        f = lambda k: np.pi - quasienergy(k, params)
+        values = np.pi - energies
+    local = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    h = 2.0 * np.pi / resolution
+    a, b = ks[local] - h, ks[local] + h
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(50):
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        keep_left = f(c) < f(d)
+        a, b = np.where(keep_left, a, c), np.where(keep_left, d, b)
+    return float(min(values.min(), f((a + b) / 2.0).min()))
+
+
 def random_nonboundary_params(rng, count, gap_floor=0.05, resolution=1024):
     """Seeded (tx, ty) samples in [0, 3pi]^2 with both gaps open."""
     from floqlab.topology import min_gap

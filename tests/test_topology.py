@@ -7,13 +7,16 @@ from conftest import (
     CASE1,
     CASE2,
     enclosed_winding,
+    golden_min_gap,
     grid_winding,
     near_drive_closing,
     random_nonboundary_params,
 )
+from floqlab import topology
 from floqlab.errors import GaplessPointError
 from floqlab.model import Frame, ModelParams, brillouin_grid, quasienergy
 from floqlab.topology import (
+    DEFAULT_RESOLUTION,
     InvariantPair,
     _cell_centers,
     gap_invariants,
@@ -185,6 +188,35 @@ class TestMinGap:
         phi = lo + u * (hi - lo)
         params = ModelParams(a * np.pi / np.cos(phi), b * np.pi / np.sin(phi))
         assert min_gap(params, "pi" if (a + b) % 2 else 0) <= 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tx=st.floats(-3 * np.pi, 3 * np.pi),
+        ty=st.floats(-3 * np.pi, 3 * np.pi),
+        which=st.sampled_from([0, "pi"]),
+    )
+    def test_matches_golden_section_oracle(self, tx, ty, which):
+        params = ModelParams(tx, ty)
+        assert min_gap(params, which) == pytest.approx(
+            golden_min_gap(params, which), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("which", [0, "pi"])
+    def test_two_quasienergy_calls_per_gap(self, monkeypatch, which):
+        # the grid and the refined momenta; a refinement loop that called
+        # quasienergy once per step would show here
+        calls = []
+
+        def counting(k, params):
+            calls.append(np.size(k))
+            return quasienergy(k, params)
+
+        monkeypatch.setattr(topology, "quasienergy", counting)
+        for params in (CASE1, CASE2, ModelParams(1.075 * np.pi, 2.725 * np.pi)):
+            calls.clear()
+            min_gap(params, which)
+            assert len(calls) == 2
+            assert calls[0] == DEFAULT_RESOLUTION
 
 
 class TestPhaseDiagram:
