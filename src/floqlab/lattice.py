@@ -20,7 +20,7 @@ import numpy as np
 from . import spinalg
 from .errors import BulkGapError
 from .model import Frame, ModelParams
-from .topology import min_gap
+from .topology import band_gaps
 
 E_TOL = 1e-3        # eigenphase distance to 0 / pi counted as a gap mode
 WEIGHT_TOL = 0.5    # minimum probability mass on the edge cells
@@ -152,16 +152,16 @@ def count_edge_modes(
     """(n_zero, n_pi, spectrum): the 0- and pi-gap edge-mode counts of the
     open-boundary operator, and the LatticeSpectrum they were counted on.
 
-    Before building the lattice, requires both bulk gaps, topology.min_gap at
-    its default resolution (a grid scan refined by Newton steps), to exceed
-    2*e_tol, so the counting windows cannot pick up bulk states.  weight_tol
-    bounds a probability, so it must lie strictly between 0 and 1.
+    Before building the lattice, requires both bulk gaps of one
+    topology.band_gaps pass at its default resolution (a grid scan refined by
+    Newton steps) to exceed 2*e_tol, so the counting windows cannot pick up
+    bulk states.  weight_tol bounds a probability, so it must lie strictly
+    between 0 and 1.
     """
     if not 0 < weight_tol < 1:
         raise ValueError("weight_tol must lie strictly between 0 and 1")
-    for which in (0, "pi"):
-        if min_gap(params, which) <= 2.0 * e_tol:
-            raise BulkGapError("bulk gap too small for edge-mode counting")
+    if min(band_gaps(params)) <= 2.0 * e_tol:
+        raise BulkGapError("bulk gap too small for edge-mode counting")
     spectrum = lattice_spectrum(params, frame, cells, "open", edge_cells)
     localized = (spectrum.edge_weight_left + spectrum.edge_weight_right) > weight_tol
     near_zero = np.abs(spectrum.phases) < e_tol

@@ -129,41 +129,34 @@ def _cos_energy_slopes(k, params: ModelParams):
     return slope, curvature
 
 
-def min_gap(
-    params: ModelParams, which, resolution: int = DEFAULT_RESOLUTION
-) -> float:
-    """Minimum distance of E(k) to the gap center (0 or pi).
+def band_gaps(params: ModelParams, resolution: int = DEFAULT_RESOLUTION) -> tuple:
+    """(gap0, gap_pi): the minimum distances of E(k) to 0 and to pi.
 
-    Scans the momentum grid, then refines every local grid minimum k inside
-    the bracket [k - h, k + h] (h the grid step) by NEWTON_STEPS Newton steps
-    on g'(k), where g = cos E = cos theta_x cos theta_y.  The 0 gap sits at a
-    maximum of g, the pi gap at a minimum.  Where g'' has the wrong sign for
-    that extremum, the step bisects toward the uphill end of the bracket
-    instead; every step is clipped to the bracket.  The result is the
-    smaller of the grid minimum and the gap at the refined momenta, both
-    from `quasienergy`.
+    One `quasienergy` scan of the momentum grid brackets each local grid
+    minimum of E (0 gap) and of pi - E (pi gap) by [k - h, k + h], h the grid
+    step.  All brackets then take NEWTON_STEPS Newton steps together on
+    sign * g'(k), g = cos E = cos theta_x cos theta_y, with sign +1 for the 0
+    gap (a maximum of g) and -1 for the pi gap (a minimum).  Where the
+    curvature has the wrong sign, a step bisects toward the uphill end of the
+    bracket; every step is clipped to it.  Each gap is the smaller of its grid
+    minimum and its `quasienergy` at the refined momenta.  Every step is
+    elementwise, so a gap is bitwise what a pass over its brackets alone gives.
 
-    The search runs on g rather than on E because g is smooth where the gap
-    closes, while E has a kink there (E ~ |k - k0|): Newton on g converges
-    quadratically to the closing, where a bracketing search on E needs ~50
-    steps.  A pure grid minimum can overshoot the true gap by orders of
-    magnitude when a closing sits between grid points, which would let
-    effectively gapless parameters through boundary detection.  Where two
-    closings merge (g'' = 0 at the extremum: |tx| or |ty| near a multiple of
-    pi with the other amplitude small) Newton converges only linearly, and
-    the result can exceed the true gap by a few 1e-8, far below BOUNDARY_TOL.
+    g is smooth where a gap closes, while E has a kink (E ~ |k - k0|), so
+    Newton on g reaches a closing that sits between grid points, where the
+    grid minimum can overshoot the gap by orders of magnitude.  Where two
+    closings merge (g'' = 0: |tx| or |ty| near a multiple of pi with the
+    other amplitude small) it converges only linearly, and a gap can exceed
+    the true one by a few 1e-8, far below BOUNDARY_TOL.
     """
     ks = brillouin_grid(resolution)
     energies = quasienergy(ks, params)
-    if which == 0:
-        sign, values = 1.0, energies
-    elif which == "pi":
-        sign, values = -1.0, np.pi - energies
-    else:
-        raise ValueError("which must be 0 or 'pi'")
-    local = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    gaps = (energies, np.pi - energies)
+    local = [(v <= np.roll(v, 1)) & (v <= np.roll(v, -1)) for v in gaps]
+    count0 = np.count_nonzero(local[0])
     h = 2.0 * np.pi / resolution
-    k = ks[local]
+    k = np.concatenate([ks[local[0]], ks[local[1]]])
+    sign = np.where(np.arange(k.size) < count0, 1.0, -1.0)
     lo, hi = k - h, k + h
     # Newton on sign * g, so the extremum sought is always a maximum.
     for _ in range(NEWTON_STEPS):
@@ -174,9 +167,17 @@ def min_gap(
         bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
         k = np.where(curvature < 0.0, newton, bisect)
     refined = quasienergy(k, params)
-    if which == "pi":
-        refined = np.pi - refined
-    return float(min(values.min(), refined.min()))
+    refined = (refined[:count0], np.pi - refined[count0:])
+    return tuple(float(min(v.min(), r.min())) for v, r in zip(gaps, refined))
+
+
+def min_gap(
+    params: ModelParams, which, resolution: int = DEFAULT_RESOLUTION
+) -> float:
+    """The 0 gap (which = 0) or the pi gap (which = "pi") of `band_gaps`."""
+    if which != 0 and which != "pi":
+        raise ValueError("which must be 0 or 'pi'")
+    return band_gaps(params, resolution)[0 if which == 0 else 1]
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def _evaluate_cell(
     tx: float, ty: float, resolution: int, boundary_tol: float
 ) -> PhaseDiagramCell:
     params = ModelParams(tx, ty)
-    g0 = min_gap(params, 0, resolution)
-    gpi = min_gap(params, "pi", resolution)
+    g0, gpi = band_gaps(params, resolution)
     if g0 < boundary_tol or gpi < boundary_tol:
         return PhaseDiagramCell(tx, ty, True, g0, gpi, None)
     inv = gap_invariants(params)

@@ -118,18 +118,49 @@ def golden_min_gap(params, which, resolution=2048):
     return float(min(values.min(), f((a + b) / 2.0).min()))
 
 
+def single_gap_newton(params, which, resolution=2048):
+    """Oracle for topology.band_gaps: one gap on its own, by the single-gap
+    Newton pass that band_gaps runs for both gaps at once.
+
+    The same grid scan, the brackets of that gap only, NEWTON_STEPS
+    safeguarded Newton steps on sign * g', and one quasienergy call at the
+    refined momenta; band_gaps must equal it bit for bit.
+    """
+    from floqlab.model import brillouin_grid, quasienergy
+    from floqlab.topology import NEWTON_STEPS, _cos_energy_slopes
+
+    ks = brillouin_grid(resolution)
+    energies = quasienergy(ks, params)
+    if which == 0:
+        sign, values = 1.0, energies
+    else:
+        sign, values = -1.0, np.pi - energies
+    local = (values <= np.roll(values, 1)) & (values <= np.roll(values, -1))
+    h = 2.0 * np.pi / resolution
+    k = ks[local]
+    lo, hi = k - h, k + h
+    for _ in range(NEWTON_STEPS):
+        slope, curvature = _cos_energy_slopes(k, params)
+        slope, curvature = sign * slope, sign * curvature
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.clip(k - slope / curvature, lo, hi)
+        bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
+        k = np.where(curvature < 0.0, newton, bisect)
+    refined = quasienergy(k, params)
+    if which == "pi":
+        refined = np.pi - refined
+    return float(min(values.min(), refined.min()))
+
+
 def random_nonboundary_params(rng, count, gap_floor=0.05, resolution=1024):
     """Seeded (tx, ty) samples in [0, 3pi]^2 with both gaps open."""
-    from floqlab.topology import min_gap
+    from floqlab.topology import band_gaps
 
     out = []
     while len(out) < count:
         tx, ty = rng.uniform(0.0, 3.0 * np.pi, size=2)
         params = ModelParams(tx, ty)
-        if (
-            min_gap(params, 0, resolution) > gap_floor
-            and min_gap(params, "pi", resolution) > gap_floor
-        ):
+        if min(band_gaps(params, resolution)) > gap_floor:
             out.append(params)
     return out
 

@@ -7,20 +7,13 @@ import time
 
 import numpy as np
 
-from conftest import CASE1, CASE2, random_nonboundary_params
+from conftest import CASE1, CASE2, enclosed_winding, random_nonboundary_params
 from floqlab.lattice import count_edge_modes
-from floqlab.model import (
-    Frame,
-    ModelParams,
-    axis_field,
-    brillouin_grid,
-    floquet_operator,
-    quasienergy,
-)
+from floqlab.model import Frame, ModelParams
 from floqlab.pulsegen import compile_schedule, verify_schedule
 from floqlab.quench import QuenchSpec, bis_report, evolve_polarizations
 from floqlab.spinalg import SIGMA_Z
-from floqlab.topology import gap_invariants, min_gap, phase_diagram, winding_number
+from floqlab.topology import gap_invariants, phase_diagram, winding_number
 
 GRID_512 = 2.0 * np.pi / 512
 
@@ -206,19 +199,32 @@ def test_criterion_6_bulk_edge_correspondence():
             f"stable at L+10, in {elapsed:.1f}s")
 
 
-def _segment_gap_minima(p1, p2, samples=65, resolution=16384):
-    # a coarser grid overstates a sample's gap where a closing falls between
-    # grid points: 1024 points read 0.021 on segments whose true minimum is
-    # below 2e-4
-    gaps0, gapspi = [], []
-    for s in np.linspace(0.0, 1.0, samples):
-        params = ModelParams(
-            (1 - s) * p1[0] + s * p2[0], (1 - s) * p1[1] + s * p2[1]
-        )
-        energies = quasienergy(brillouin_grid(resolution), params)
-        gaps0.append(float(energies.min()))
-        gapspi.append(float(np.pi - energies.max()))
-    return min(gaps0), min(gapspi)
+def _closing_steps(p, q):
+    """(d nu1, d nu2) of each drive closing curve that the axis-parallel
+    segment from cell p to cell q crosses, for tx, ty > 0.
+
+    The closings are (a pi / tx)^2 + (b pi / ty)^2 = 1 over a, b >= 0, not
+    both 0 (a line |tx| = a pi or |ty| = b pi when the other is 0).  Moving
+    inside one encloses the m = 2 (line) or 4 (ellipse) lattice points
+    (+-a pi, +-b pi), whose indices change (nu1, nu2) by
+    m ((-1)^a, (-1)^b).  Along an axis-parallel segment the left-hand side is
+    monotone, so its sign at the two ends decides the crossing exactly.
+    """
+    (ux0, uy0), (ux1, uy1) = np.divide(p, np.pi), np.divide(q, np.pi)
+    steps = []
+    for a in range(int(max(ux0, ux1)) + 1):
+        for b in range(int(max(uy0, uy1)) + 1):
+            before = (a / ux0) ** 2 + (b / uy0) ** 2 < 1.0
+            after = (a / ux1) ** 2 + (b / uy1) ** 2 < 1.0
+            if (a or b) and before != after:
+                m = (2 if a == 0 or b == 0 else 4) * (1 if after else -1)
+                steps.append((m * (-1) ** a, m * (-1) ** b))
+    return steps
+
+
+def _frame_windings(cell):
+    return (cell.invariants.nu0 + cell.invariants.nu_pi,
+            cell.invariants.nu0 - cell.invariants.nu_pi)
 
 
 def test_criterion_7_phase_diagram_consistency():
@@ -232,11 +238,15 @@ def test_criterion_7_phase_diagram_consistency():
     nx, ny = diagram.cells_per_axis
     grid = np.array(diagram.cells, dtype=object).reshape(nx, ny)
 
-    # every neighboring pair of classified cells that disagrees must have a
-    # gap closing on the connecting segment, and the closing gap must match
-    # the invariant that changes (checked exhaustively, i.e. well beyond
-    # five spot checks)
-    seg_tol = 0.02
+    # every classified cell carries the windings of the lattice points its
+    # drive encloses, and every neighboring pair of classified cells (checked
+    # exhaustively, i.e. well beyond five spot checks) differs by the steps
+    # of the closing curves between them: one curve with the invariants'
+    # change for a transition, none where the invariants agree
+    wrong_cells = [
+        (c.tx, c.ty) for c in diagram.cells
+        if not c.boundary and _frame_windings(c) != enclosed_winding(c.tx, c.ty)
+    ]
     violations = []
     transitions_checked = 0
     for i in range(nx):
@@ -247,17 +257,16 @@ def test_criterion_7_phase_diagram_consistency():
             ):
                 if a.boundary or b.boundary:
                     continue
-                if a.invariants == b.invariants:
-                    continue
-                transitions_checked += 1
-                g0, gpi = _segment_gap_minima((a.tx, a.ty), (b.tx, b.ty))
-                if a.invariants.nu0 != b.invariants.nu0 and g0 > seg_tol:
-                    violations.append(((a.tx, a.ty), (b.tx, b.ty), "nu0", g0))
-                if a.invariants.nu_pi != b.invariants.nu_pi and gpi > seg_tol:
-                    violations.append(((a.tx, a.ty), (b.tx, b.ty), "nu_pi", gpi))
-    ok = transitions_checked >= 5 and not violations
+                (a1, a2), (b1, b2) = _frame_windings(a), _frame_windings(b)
+                change = [(b1 - a1, b2 - a2)] if (a1, a2) != (b1, b2) else []
+                transitions_checked += bool(change)
+                steps = _closing_steps((a.tx, a.ty), (b.tx, b.ty))
+                if steps != change:
+                    violations.append(((a.tx, a.ty), (b.tx, b.ty), change, steps))
+    ok = transitions_checked >= 5 and not wrong_cells and not violations
     _report(7, ok, f"60x60 diagram in {elapsed:.0f}s; {transitions_checked} "
-            f"invariant transitions all sit on matching gap closings"
+            f"invariant transitions each cross one matching closing curve"
+            + (f"; wrong cells: {wrong_cells[:3]}" if wrong_cells else "")
             + (f"; violations: {violations[:3]}" if violations else ""))
 
 

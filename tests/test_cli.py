@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -143,6 +144,16 @@ class TestPhaseDiagramCommand:
         for out in (a, b):
             assert run(["phase-diagram", "--cells", "3", "--resolution", "512"], out) == 0
         assert (a / "phase_diagram.csv").read_bytes() == (b / "phase_diagram.csv").read_bytes()
+
+    def test_pinned_bytes(self, tmp_path):
+        # sha256 of the rows below the hash line, as written when each cell
+        # made one min_gap pass per gap; a change of how the gaps or the
+        # cells are computed must keep every byte
+        assert run(["phase-diagram", "--cells", "12", "--resolution", "1024"], tmp_path) == 0
+        body = (tmp_path / "phase_diagram.csv").read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == (
+            "188d0a8a99640b0951e49ac62aeed1fbab3d36c8312db9392cbc134c13055da9"
+        )
 
 
 class TestEdgesAndSpectrumCommands:

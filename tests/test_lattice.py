@@ -13,7 +13,7 @@ from floqlab.lattice import (
 )
 from floqlab.model import Frame, ModelParams, quasienergy, step_angles
 from floqlab.spinalg import SIGMA_X, SIGMA_Y
-from floqlab.topology import gap_invariants, min_gap
+from floqlab.topology import gap_invariants
 
 
 class TestBuildStep:
@@ -160,6 +160,11 @@ class TestEdgeModes:
     def test_small_bulk_gap_rejected(self):
         with pytest.raises(BulkGapError, match="bulk gap too small"):
             count_edge_modes(ModelParams(np.pi, 0.5 * np.pi), Frame.SYM1, 20)
+
+    def test_small_zero_gap_rejected(self):
+        # the case above closes the pi gap; tx = 2 pi closes the 0 gap at k = 0
+        with pytest.raises(BulkGapError, match="bulk gap too small"):
+            count_edge_modes(ModelParams(2 * np.pi, 0.5 * np.pi), Frame.SYM1, 20)
 
     def test_frame_choice_does_not_change_counts(self):
         assert count_edge_modes(CASE2, Frame.SYM2, 60)[:2] == (6, 4)

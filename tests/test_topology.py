@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,7 @@ from conftest import (
     grid_winding,
     near_drive_closing,
     random_nonboundary_params,
+    single_gap_newton,
 )
 from floqlab import topology
 from floqlab.errors import GaplessPointError
@@ -19,6 +22,7 @@ from floqlab.topology import (
     DEFAULT_RESOLUTION,
     InvariantPair,
     _cell_centers,
+    band_gaps,
     gap_invariants,
     min_gap,
     phase_diagram,
@@ -200,6 +204,56 @@ class TestMinGap:
         assert min_gap(params, which) == pytest.approx(
             golden_min_gap(params, which), abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tx=st.floats(-3 * np.pi, 3 * np.pi),
+        ty=st.floats(-3 * np.pi, 3 * np.pi),
+        resolution=st.sampled_from([512, 2048]),
+    )
+    def test_both_gaps_equal_the_single_gap_passes(self, tx, ty, resolution):
+        # one pass over both gaps' brackets is elementwise, so it must give
+        # each gap bit for bit as a pass over that gap's brackets alone
+        params = ModelParams(tx, ty)
+        assert band_gaps(params, resolution) == (
+            single_gap_newton(params, 0, resolution),
+            single_gap_newton(params, "pi", resolution),
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("swap", [False, True], ids=["tx", "ty"])
+    def test_merged_closings_stay_near_the_oracle(self, m, swap):
+        # near |tx| = m pi with |ty| small two closings of the gap of
+        # parity m merge (g'' = 0 there), and Newton converges only
+        # linearly; (3pi + 3.2e-8, 1e-6) reads 2.5e-8 where the golden
+        # oracle reads 8.2e-11.  The true gap is at most |tx| - m pi.
+        which = 1 if m % 2 else 0
+        for sign, delta, small in itertools.product(
+            (1.0, -1.0),
+            (1e-12, 1e-10, 1e-8, 3.2e-8, 1e-7, 3e-7),
+            (0.0, 1e-10, -1e-8, 1e-6, -1e-4, 1e-3, -1e-2, 1e-2),
+        ):
+            tx, ty = sign * (m * np.pi + delta), small
+            params = ModelParams(*((ty, tx) if swap else (tx, ty)))
+            gap = band_gaps(params)[which]
+            assert gap < 1e-6
+            assert gap == pytest.approx(
+                golden_min_gap(params, (0, "pi")[which]), abs=5e-8
+            )
+
+    def test_one_pass_per_phase_diagram_cell(self, monkeypatch):
+        # a cell scans the grid once for both gaps and evaluates the refined
+        # momenta of both in one call; two min_gap passes would make four
+        calls = []
+
+        def counting(k, params):
+            calls.append(np.size(k))
+            return quasienergy(k, params)
+
+        monkeypatch.setattr(topology, "quasienergy", counting)
+        phase_diagram((CASE2.tx, CASE2.tx), (CASE2.ty, CASE2.ty), cells=1)
+        assert len(calls) == 2
+        assert calls[0] == DEFAULT_RESOLUTION
 
     @pytest.mark.parametrize("which", [0, "pi"])
     def test_two_quasienergy_calls_per_gap(self, monkeypatch, which):
