@@ -17,6 +17,7 @@ holds each product as data, and every layer that builds a frame reads it.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,11 @@ from .errors import GaplessPointError
 
 # Quasienergy distance to 0 or pi below which the axis is declared undefined.
 TOL_GAP = 1e-9
+
+# Largest |tx| or |ty| ModelParams accepts.  The crossing count loops over
+# about 2|drive|/pi band inversions, so a bound keeps every layer's cost
+# finite; 1e4 is about 80 times the 40 pi that the property tests reach.
+MAX_AMPLITUDE = 1e4
 
 _UNIT = {"x": np.array([1.0, 0.0, 0.0]), "y": np.array([0.0, 1.0, 0.0])}
 
@@ -63,8 +69,12 @@ class ModelParams:
     ty: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.tx) and np.isfinite(self.ty)):
+        if not (math.isfinite(self.tx) and math.isfinite(self.ty)):
             raise ValueError("drive amplitudes must be finite")
+        if abs(self.tx) > MAX_AMPLITUDE or abs(self.ty) > MAX_AMPLITUDE:
+            raise ValueError(
+                f"drive amplitudes must not exceed {MAX_AMPLITUDE:g} in magnitude"
+            )
 
 
 def step_angles(k, params: ModelParams):
@@ -84,13 +94,17 @@ def floquet_operator(k, params: ModelParams, frame: Frame) -> np.ndarray:
 
 
 def quasienergy(k, params: ModelParams):
-    """Positive-branch quasienergy E in [0, pi], cos E = cos theta_x cos theta_y.
+    """Positive-branch quasienergy E in [0, pi] at momenta k."""
+    return angle_quasienergy(*step_angles(k, params))
+
+
+def angle_quasienergy(thx, thy):
+    """E in [0, pi] from the step angles, cos E = cos theta_x cos theta_y.
 
     Taken as atan2(sin E, cos E) with sin E = hypot(sin theta_x cos theta_y,
     sin theta_y), so neither argument cancels near E = 0 or E = pi, where
     arccos(cos E) would lose digits.
     """
-    thx, thy = step_angles(k, params)
     cos_y = np.cos(thy)
     return np.arctan2(np.hypot(np.sin(thx) * cos_y, np.sin(thy)), np.cos(thx) * cos_y)
 
@@ -127,3 +141,14 @@ def axis_field(k, params: ModelParams, frame: Frame):
 def brillouin_grid(resolution: int) -> np.ndarray:
     """Uniform momentum grid on (-pi, pi], endpoint excluded (periodic)."""
     return -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
+
+
+@functools.lru_cache(maxsize=8)
+def grid_trig(resolution: int) -> tuple:
+    """(k, cos k, sin k) on brillouin_grid(resolution), computed on first use
+    and kept read-only, so every scan at one resolution shares them."""
+    ks = brillouin_grid(resolution)
+    arrays = (ks, np.cos(ks), np.sin(ks))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays

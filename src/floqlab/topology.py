@@ -1,11 +1,21 @@
 """Winding numbers, gap invariants, and the (tx, ty) phase diagram."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GaplessPointError, ParityError
-from .model import TOL_GAP, Frame, ModelParams, axis_field, brillouin_grid, quasienergy
+from .model import (
+    TOL_GAP,
+    Frame,
+    ModelParams,
+    angle_quasienergy,
+    axis_field,
+    brillouin_grid,
+    grid_trig,
+    step_angles,
+)
 
 DEFAULT_RESOLUTION = 2048
 
@@ -16,7 +26,7 @@ DEFAULT_RANGE = (0.0, 3.0 * np.pi)
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
 
-# Newton steps per bracket in min_gap.  From within one grid step of a
+# Newton steps per bracket in band_gaps.  From within one grid step of a
 # simple extremum of g, Newton reaches rounding in about four; the rest
 # cover the steps that bisect.
 NEWTON_STEPS = 8
@@ -30,26 +40,28 @@ def _crossing_count(drive: float, other: float) -> int:
     complementary function, the two zeros of f(k) = m pi / drive have
     g(k) = +-sqrt(1 - (m pi / drive)^2).  There the partner component is
     (-1)^m sin(other * g(k)), of magnitude sin E, and a zero with a positive
-    partner counts sign((-1)^m drive g(k)).  Where two zeros merge
-    (|drive| = m pi, g = 0) the gap is the distance of |drive| to the
-    nearest multiple of pi instead.
+    partner counts sign((-1)^m drive g(k)).  Since sin is odd, exactly one
+    zero of each pair has a positive partner, and the pair counts
+    sign(drive) sign(sin(other * g)) whatever the parity of m.  Where two
+    zeros merge (|drive| = m pi, g = 0) the gap is the distance of |drive| to
+    the nearest multiple of pi instead.
     """
     amplitude = abs(drive)
-    if abs(amplitude - np.pi * np.rint(amplitude / np.pi)) < TOL_GAP:
+    if abs(amplitude - math.pi * round(amplitude / math.pi)) < TOL_GAP:
         raise GaplessPointError(
             "gapless point: merging band inversions within tol_gap of 0 or pi"
         )
-    top = np.floor(amplitude / np.pi)
-    m = np.arange(-top, top + 1.0)
-    g = np.sqrt(1.0 - (m * np.pi / drive) ** 2)
-    g = np.concatenate([g, -g])
-    parity = np.tile(1.0 - 2.0 * (m % 2), 2)
-    partner = parity * np.sin(other * g)
-    if np.any(np.abs(partner) < TOL_GAP):
-        raise GaplessPointError(
-            "gapless point: band inversion within tol_gap of 0 or pi"
-        )
-    return int(np.sum(np.where(partner > 0.0, parity * np.sign(drive * g), 0.0)))
+    top = math.floor(amplitude / math.pi)
+    count = 0
+    for m in range(-top, top + 1):
+        ratio = m * math.pi / drive
+        partner = math.sin(other * math.sqrt(1.0 - ratio * ratio))
+        if abs(partner) < TOL_GAP:
+            raise GaplessPointError(
+                "gapless point: band inversion within tol_gap of 0 or pi"
+            )
+        count += 1 if partner > 0.0 else -1
+    return count if drive > 0.0 else -count
 
 
 def winding_number(params: ModelParams, frame: Frame) -> int:
@@ -129,18 +141,27 @@ def _cos_energy_slopes(k, params: ModelParams):
     return slope, curvature
 
 
+def local_minima(values):
+    """Mask of the entries no larger than both periodic neighbours: the same
+    test as (v <= np.roll(v, 1)) & (v <= np.roll(v, -1)), from one padded
+    copy instead of two rolled ones."""
+    padded = np.concatenate((values[-1:], values, values[:1]))
+    return (values <= padded[:-2]) & (values <= padded[2:])
+
+
 def band_gaps(params: ModelParams, resolution: int = DEFAULT_RESOLUTION) -> tuple:
     """(gap0, gap_pi): the minimum distances of E(k) to 0 and to pi.
 
-    One `quasienergy` scan of the momentum grid brackets each local grid
-    minimum of E (0 gap) and of pi - E (pi gap) by [k - h, k + h], h the grid
-    step.  All brackets then take NEWTON_STEPS Newton steps together on
+    One scan of the momentum grid, with E computed from the cached cos k and
+    sin k of `grid_trig` by the formula of `quasienergy`, brackets each local
+    grid minimum of E (0 gap) and of pi - E (pi gap) by [k - h, k + h], h the
+    grid step.  All brackets then take NEWTON_STEPS Newton steps together on
     sign * g'(k), g = cos E = cos theta_x cos theta_y, with sign +1 for the 0
     gap (a maximum of g) and -1 for the pi gap (a minimum).  Where the
     curvature has the wrong sign, a step bisects toward the uphill end of the
     bracket; every step is clipped to it.  Each gap is the smaller of its grid
-    minimum and its `quasienergy` at the refined momenta.  Every step is
-    elementwise, so a gap is bitwise what a pass over its brackets alone gives.
+    minimum and its E at the refined momenta.  Every step is elementwise, so
+    a gap is bitwise what a pass over its brackets alone gives.
 
     g is smooth where a gap closes, while E has a kink (E ~ |k - k0|), so
     Newton on g reaches a closing that sits between grid points, where the
@@ -149,24 +170,24 @@ def band_gaps(params: ModelParams, resolution: int = DEFAULT_RESOLUTION) -> tupl
     other amplitude small) it converges only linearly, and a gap can exceed
     the true one by a few 1e-8, far below BOUNDARY_TOL.
     """
-    ks = brillouin_grid(resolution)
-    energies = quasienergy(ks, params)
+    ks, cos_k, sin_k = grid_trig(resolution)
+    energies = angle_quasienergy(params.tx * cos_k, params.ty * sin_k)
     gaps = (energies, np.pi - energies)
-    local = [(v <= np.roll(v, 1)) & (v <= np.roll(v, -1)) for v in gaps]
+    local = [local_minima(v) for v in gaps]
     count0 = np.count_nonzero(local[0])
     h = 2.0 * np.pi / resolution
     k = np.concatenate([ks[local[0]], ks[local[1]]])
     sign = np.where(np.arange(k.size) < count0, 1.0, -1.0)
     lo, hi = k - h, k + h
     # Newton on sign * g, so the extremum sought is always a maximum.
-    for _ in range(NEWTON_STEPS):
-        slope, curvature = _cos_energy_slopes(k, params)
-        slope, curvature = sign * slope, sign * curvature
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.clip(k - slope / curvature, lo, hi)
-        bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
-        k = np.where(curvature < 0.0, newton, bisect)
-    refined = quasienergy(k, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            slope, curvature = _cos_energy_slopes(k, params)
+            slope, curvature = sign * slope, sign * curvature
+            newton = np.minimum(np.maximum(k - slope / curvature, lo), hi)
+            bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
+            k = np.where(curvature < 0.0, newton, bisect)
+    refined = angle_quasienergy(*step_angles(k, params))
     refined = (refined[:count0], np.pi - refined[count0:])
     return tuple(float(min(v.min(), r.min())) for v, r in zip(gaps, refined))
 

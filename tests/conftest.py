@@ -89,6 +89,31 @@ def near_drive_closing(tx, ty, rel=1e-9):
     return bool(np.any(np.abs((a / ux) ** 2 + (b / uy) ** 2 - 1.0) <= rel))
 
 
+def numpy_crossing_count(drive, other):
+    """Oracle for topology._crossing_count: the same count on numpy arrays,
+    with both zeros of every pair m and their (-1)^m partner signs spelt
+    out."""
+    from floqlab.errors import GaplessPointError
+    from floqlab.model import TOL_GAP
+
+    amplitude = abs(drive)
+    if abs(amplitude - np.pi * np.rint(amplitude / np.pi)) < TOL_GAP:
+        raise GaplessPointError(
+            "gapless point: merging band inversions within tol_gap of 0 or pi"
+        )
+    top = np.floor(amplitude / np.pi)
+    m = np.arange(-top, top + 1.0)
+    g = np.sqrt(1.0 - (m * np.pi / drive) ** 2)
+    g = np.concatenate([g, -g])
+    parity = np.tile(1.0 - 2.0 * (m % 2), 2)
+    partner = parity * np.sin(other * g)
+    if np.any(np.abs(partner) < TOL_GAP):
+        raise GaplessPointError(
+            "gapless point: band inversion within tol_gap of 0 or pi"
+        )
+    return int(np.sum(np.where(partner > 0.0, parity * np.sign(drive * g), 0.0)))
+
+
 def golden_min_gap(params, which, resolution=2048):
     """Oracle for topology.min_gap: the same grid scan and brackets, refined
     by 50 golden-section steps on E itself instead of Newton steps on cos E.

@@ -145,15 +145,31 @@ class TestPhaseDiagramCommand:
             assert run(["phase-diagram", "--cells", "3", "--resolution", "512"], out) == 0
         assert (a / "phase_diagram.csv").read_bytes() == (b / "phase_diagram.csv").read_bytes()
 
-    def test_pinned_bytes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (["--resolution", "1024"],
+             "188d0a8a99640b0951e49ac62aeed1fbab3d36c8312db9392cbc134c13055da9"),
+            ([], "694c76a76f20e77d61f523781323434c1e0cb2020a4d1ae357c713fe772f87a4"),
+            (["--tx-min=-3pi", "--tx-max", "3pi", "--ty-min=-3pi", "--ty-max", "3pi"],
+             "28a5108e8db27ce3011d9c50839d811c553d617564dfd5bc6d21ab82730f0591"),
+        ],
+        ids=["resolution-1024", "default-resolution", "both-signs"],
+    )
+    def test_pinned_bytes(self, tmp_path, args, digest):
         # sha256 of the rows below the hash line, as written when each cell
         # made one min_gap pass per gap; a change of how the gaps or the
         # cells are computed must keep every byte
-        assert run(["phase-diagram", "--cells", "12", "--resolution", "1024"], tmp_path) == 0
+        assert run(["phase-diagram", "--cells", "12", *args], tmp_path) == 0
         body = (tmp_path / "phase_diagram.csv").read_bytes().split(b"\n", 1)[1]
-        assert hashlib.sha256(body).hexdigest() == (
-            "188d0a8a99640b0951e49ac62aeed1fbab3d36c8312db9392cbc134c13055da9"
-        )
+        assert hashlib.sha256(body).hexdigest() == digest
+
+    def test_drive_of_40_pi_accepted(self, tmp_path):
+        rc = run(["phase-diagram", "--tx-min", "40pi", "--tx-max", "40pi",
+                  "--ty-min=-40pi", "--ty-max=-40pi", "--cells", "1",
+                  "--resolution", "512"], tmp_path)
+        assert rc == 0
+        assert len(read_csv(tmp_path / "phase_diagram.csv")) == 1
 
 
 class TestEdgesAndSpectrumCommands:
@@ -361,6 +377,8 @@ class TestBadInput:
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--floor-tol", "nan"],
              "--floor-tol"),
             (["phase-diagram", "--resolution", "0"], "--resolution"),
+            (["phase-diagram", "--cells", "1", "--tx-min", "1e9", "--tx-max", "1e9"], None),
+            (["quench", "--tx", "1e9", "--ty", "1"], None),
             (["phase-diagram", "--boundary-tol", "nan"], "--boundary-tol"),
             (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--e-tol", "-1"], "--e-tol"),
             (["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--weight-tol", "inf"],
@@ -385,7 +403,8 @@ class TestBadInput:
         ],
         ids=["cells", "steps", "edges-length", "spectrum-length", "omega-ref",
              "nan-angle", "inf-angle", "grid-zero", "grid-negative", "floor-tol-nan",
-             "resolution-zero", "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
+             "resolution-zero", "diagram-amplitude-1e9", "quench-amplitude-1e9",
+             "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
              "omega-ref-nan", "edge-cells-zero", "edge-cells-negative",
              "edge-cells-beyond-half-chain", "seed-negative", "shots-zero",
              "periods-zero", "weight-tol-one", "weight-tol-two"],

@@ -4,6 +4,7 @@ import pytest
 from conftest import CASE1, CASE2, is_unitary, random_nonboundary_params
 from floqlab.errors import GaplessPointError
 from floqlab.model import (
+    MAX_AMPLITUDE,
     Frame,
     ModelParams,
     axis_field,
@@ -33,6 +34,23 @@ def closed_form_axis(k, params, frame):
             [np.sin(thx), np.cos(thx) * np.sin(thy), np.zeros_like(thx)], axis=-1
         )
     return raw / sin_e[..., None]
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(value, 0.5)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["tx", "ty"])
+    @pytest.mark.parametrize("value", [np.nextafter(MAX_AMPLITUDE, np.inf), -1e9, 1e200])
+    def test_amplitude_beyond_the_bound_rejected(self, value, swap):
+        with pytest.raises(ValueError, match="exceed"):
+            ModelParams(*((0.5, value) if swap else (value, 0.5)))
+
+    @pytest.mark.parametrize("value", [40 * np.pi, -40 * np.pi, MAX_AMPLITUDE])
+    def test_amplitude_within_the_bound_accepted(self, value):
+        assert ModelParams(value, value).tx == value
 
 
 class TestStepAngles:

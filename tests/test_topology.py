@@ -12,18 +12,28 @@ from conftest import (
     golden_min_gap,
     grid_winding,
     near_drive_closing,
+    numpy_crossing_count,
     random_nonboundary_params,
     single_gap_newton,
 )
 from floqlab import topology
 from floqlab.errors import GaplessPointError
-from floqlab.model import Frame, ModelParams, brillouin_grid, quasienergy
+from floqlab.model import (
+    Frame,
+    ModelParams,
+    angle_quasienergy,
+    brillouin_grid,
+    grid_trig,
+    quasienergy,
+)
 from floqlab.topology import (
     DEFAULT_RESOLUTION,
     InvariantPair,
     _cell_centers,
+    _crossing_count,
     band_gaps,
     gap_invariants,
+    local_minima,
     min_gap,
     phase_diagram,
     winding_number,
@@ -246,31 +256,82 @@ class TestMinGap:
         # momenta of both in one call; two min_gap passes would make four
         calls = []
 
-        def counting(k, params):
-            calls.append(np.size(k))
-            return quasienergy(k, params)
+        def counting(thx, thy):
+            calls.append(np.size(thx))
+            return angle_quasienergy(thx, thy)
 
-        monkeypatch.setattr(topology, "quasienergy", counting)
+        monkeypatch.setattr(topology, "angle_quasienergy", counting)
         phase_diagram((CASE2.tx, CASE2.tx), (CASE2.ty, CASE2.ty), cells=1)
         assert len(calls) == 2
         assert calls[0] == DEFAULT_RESOLUTION
 
     @pytest.mark.parametrize("which", [0, "pi"])
     def test_two_quasienergy_calls_per_gap(self, monkeypatch, which):
-        # the grid and the refined momenta; a refinement loop that called
-        # quasienergy once per step would show here
+        # the grid and the refined momenta; a refinement loop that evaluated
+        # E once per step would show here
         calls = []
 
-        def counting(k, params):
-            calls.append(np.size(k))
-            return quasienergy(k, params)
+        def counting(thx, thy):
+            calls.append(np.size(thx))
+            return angle_quasienergy(thx, thy)
 
-        monkeypatch.setattr(topology, "quasienergy", counting)
+        monkeypatch.setattr(topology, "angle_quasienergy", counting)
         for params in (CASE1, CASE2, ModelParams(1.075 * np.pi, 2.725 * np.pi)):
             calls.clear()
             min_gap(params, which)
             assert len(calls) == 2
             assert calls[0] == DEFAULT_RESOLUTION
+
+    @pytest.mark.parametrize("resolution", [1, 7, 512, DEFAULT_RESOLUTION])
+    def test_grid_trig_is_the_fresh_trig_read_only(self, resolution):
+        ks = brillouin_grid(resolution)
+        cached = grid_trig(resolution)
+        for got, want in zip(cached, (ks, np.cos(ks), np.sin(ks))):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+    def test_a_diagram_fills_the_grid_cache_once(self):
+        grid_trig.cache_clear()
+        phase_diagram((0.5, 2.5), (0.5, 2.5), cells=3, resolution=256)
+        info = grid_trig.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, np.nan]), min_size=1, max_size=64
+        )
+    )
+    def test_local_minima_is_the_rolled_test(self, values):
+        v = np.array(values)
+        rolled = (v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
+        assert np.array_equal(local_minima(v), rolled)
+
+
+class TestCrossingCount:
+    @staticmethod
+    def outcome(count, drive, other):
+        try:
+            return count(drive, other)
+        except Exception as exc:
+            return type(exc)
+
+    amplitude = st.floats(-40 * np.pi, 40 * np.pi)
+    near_closing = st.builds(
+        lambda m, delta, sign: sign * (m * np.pi + delta),
+        st.integers(0, 40),
+        st.one_of(st.floats(1e-12, 1e-8), st.floats(-1e-8, -1e-12)),
+        st.sampled_from([1.0, -1.0]),
+    )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(drive=st.one_of(amplitude, near_closing), other=amplitude)
+    def test_matches_the_numpy_count(self, drive, other):
+        assert self.outcome(_crossing_count, drive, other) == self.outcome(
+            numpy_crossing_count, drive, other
+        )
 
 
 class TestPhaseDiagram:
