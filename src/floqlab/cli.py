@@ -3,13 +3,14 @@
 Angles are accepted either in radians (plain numbers) or in units of pi
 with a trailing "pi", e.g. --tx 0.5pi.  An optional JSON config file
 provides per-command defaults that explicit flags override.  Exit codes:
-0 success, 1 usage error, invalid value or I/O error, 2 no band inversion
-found, 3 pulse verification failure.
+0 success, 1 usage error, invalid value, parity violation or I/O error,
+2 no band inversion found, 3 pulse verification failure.
 """
 
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .topology import (
     DEFAULT_CELLS,
     DEFAULT_RANGE,
     DEFAULT_RESOLUTION,
+    combine_windings,
     phase_diagram,
 )
 
@@ -83,12 +85,6 @@ def parse_frame(text: str) -> Frame:
     return Frame(text.lower())
 
 
-def _add_common(parser):
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with defaults for this command")
-    parser.add_argument("-o", "--output-dir", type=Path, default=Path("."))
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1; argparse's own 2 means "no band inversion" here."""
 
@@ -101,9 +97,17 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="floqlab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
+    # options shared by every command, and by every command at one drive
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=Path, default=None,
+                        help="JSON file with defaults for this command")
+    common.add_argument("-o", "--output-dir", type=Path, default=Path("."))
+    drive = argparse.ArgumentParser(add_help=False, parents=[common])
+    drive.add_argument("--tx", type=parse_angle, required=True)
+    drive.add_argument("--ty", type=parse_angle, required=True)
 
-    p = sub.add_parser("phase-diagram", help="invariants over a (tx, ty) grid")
-    _add_common(p)
+    p = sub.add_parser("phase-diagram", parents=[common],
+                       help="invariants over a (tx, ty) grid")
     p.add_argument("--tx-min", type=parse_angle, default=DEFAULT_RANGE[0])
     p.add_argument("--tx-max", type=parse_angle, default=DEFAULT_RANGE[1])
     p.add_argument("--ty-min", type=parse_angle, default=DEFAULT_RANGE[0])
@@ -114,10 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary-tol", type=positive_float, default=BOUNDARY_TOL)
     p.set_defaults(func=cmd_phase_diagram)
 
-    p = sub.add_parser("quench", help="quench traces and BIS winding report")
-    _add_common(p)
-    p.add_argument("--tx", type=parse_angle, required=True)
-    p.add_argument("--ty", type=parse_angle, required=True)
+    p = sub.add_parser("quench", parents=[drive], help="quench traces and BIS winding report")
     p.add_argument("--frame", choices=["sym1", "sym2", "both"], default="both")
     p.add_argument("--steps", type=positive_int, default=DEFAULT_STEPS)
     p.add_argument("--grid", type=positive_int, default=DEFAULT_GRID)
@@ -126,20 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-tol", type=positive_float, default=None)
     p.set_defaults(func=cmd_quench)
 
-    p = sub.add_parser("spectrum", help="open/periodic lattice eigenphases")
-    _add_common(p)
-    p.add_argument("--tx", type=parse_angle, required=True)
-    p.add_argument("--ty", type=parse_angle, required=True)
+    p = sub.add_parser("spectrum", parents=[drive], help="open/periodic lattice eigenphases")
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--length", type=chain_length, default=40, help="unit cells")
     p.add_argument("--boundary", choices=["open", "periodic"], default="open")
     p.add_argument("--edge-cells", type=positive_int, default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("edges", help="count 0- and pi-gap edge modes")
-    _add_common(p)
-    p.add_argument("--tx", type=parse_angle, required=True)
-    p.add_argument("--ty", type=parse_angle, required=True)
+    p = sub.add_parser("edges", parents=[drive], help="count 0- and pi-gap edge modes")
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--length", type=chain_length, default=40)
     p.add_argument("--e-tol", type=positive_float, default=E_TOL)
@@ -147,10 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-tol", type=probability, default=WEIGHT_TOL)
     p.set_defaults(func=cmd_edges)
 
-    p = sub.add_parser("pulses", help="compile a frame evolution to pulses")
-    _add_common(p)
-    p.add_argument("--tx", type=parse_angle, required=True)
-    p.add_argument("--ty", type=parse_angle, required=True)
+    p = sub.add_parser("pulses", parents=[drive], help="compile a frame evolution to pulses")
     p.add_argument("--k", type=parse_angle, required=True)
     p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--periods", type=positive_int, default=1)
@@ -197,7 +189,6 @@ def cmd_phase_diagram(args) -> int:
         "resolution": args.resolution,
         "boundary_tol": args.boundary_tol,
     }
-    h = config_hash(cfg)
     diagram = phase_diagram(
         (args.tx_min, args.tx_max),
         (args.ty_min, args.ty_max),
@@ -205,40 +196,36 @@ def cmd_phase_diagram(args) -> int:
         resolution=args.resolution,
         boundary_tol=args.boundary_tol,
     )
-    rows = []
-    counts = {}
-    for cell in diagram.cells:
-        inv = cell.invariants
-        rows.append(
-            (
-                cell.tx,
-                cell.ty,
-                "" if inv is None else inv.nu0,
-                "" if inv is None else inv.nu_pi,
-                int(cell.boundary),
-                cell.min_gap0,
-                cell.min_gap_pi,
-            )
+    rows = [
+        (
+            c.tx,
+            c.ty,
+            *(("", "") if c.invariants is None else (c.invariants.nu0, c.invariants.nu_pi)),
+            int(c.boundary),
+            c.min_gap0,
+            c.min_gap_pi,
         )
-        if inv is not None:
-            key = f"({inv.nu0},{inv.nu_pi})"
-            counts[key] = counts.get(key, 0) + 1
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+        for c in diagram.cells
+    ]
+    counts = Counter(
+        f"({c.invariants.nu0},{c.invariants.nu_pi})"
+        for c in diagram.cells
+        if c.invariants is not None
+    )
     write_csv(
         args.output_dir / "phase_diagram.csv",
         ["t_x", "t_y", "nu0", "nu_pi", "boundary_flag", "min_gap0", "min_gap_pi"],
         rows,
-        h,
+        cfg,
     )
     write_json(
         args.output_dir / "phase_diagram.json",
         {
-            "config": cfg,
             "cells_total": len(diagram.cells),
             "cells_boundary": sum(c.boundary for c in diagram.cells),
             "phase_counts": counts,
         },
-        h,
+        cfg,
     )
     print(f"phase diagram: {len(diagram.cells)} cells -> {args.output_dir}")
     return 0
@@ -257,8 +244,6 @@ def cmd_quench(args) -> int:
         "seed": args.seed,
         "floor_tol": args.floor_tol,
     }
-    h = config_hash(cfg)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
     params = ModelParams(args.tx, args.ty)
     frame_blocks = {}
     for frame in frames:
@@ -277,7 +262,7 @@ def cmd_quench(args) -> int:
             args.output_dir / f"quench_{frame.value}.csv",
             ["k", "sigma_x_avg", "sigma_y_avg", "stderr_x", "stderr_y"],
             zip(trace.k_grid.tolist(), sx.tolist(), sy.tolist(), ex.tolist(), ey.tolist()),
-            h,
+            cfg,
         )
         try:
             report = bis_report(trace, floor_tol=args.floor_tol)
@@ -286,7 +271,7 @@ def cmd_quench(args) -> int:
                 "error": "no BIS found",
                 "detail": str(exc),
                 "frame": frame.value,
-                "config_hash": h,
+                "config_hash": config_hash(cfg),
             }, sort_keys=True))
             return 2
         frame_blocks[frame.value] = {
@@ -302,19 +287,17 @@ def cmd_quench(args) -> int:
             ],
             "nu": report.nu,
         }
-    payload = {"config": cfg, "frames": frame_blocks}
+    payload = {"frames": frame_blocks}
     if len(frames) == 2:
-        nu1 = frame_blocks["sym1"]["nu"]
-        nu2 = frame_blocks["sym2"]["nu"]
-        payload["nu0"] = (nu1 + nu2) // 2
-        payload["nu_pi"] = (nu1 - nu2) // 2
-    write_json(args.output_dir / "bis_report.json", payload, h)
+        pair = combine_windings(frame_blocks["sym1"]["nu"], frame_blocks["sym2"]["nu"])
+        payload["nu0"], payload["nu_pi"] = pair.nu0, pair.nu_pi
+    write_json(args.output_dir / "bis_report.json", payload, cfg)
     summary = {k: v["nu"] for k, v in frame_blocks.items()}
     print(f"quench windings {summary} -> {args.output_dir}")
     return 0
 
 
-def _write_spectrum_csv(output_dir: Path, frame: Frame, spectrum, h: str) -> None:
+def _write_spectrum_csv(output_dir: Path, frame: Frame, spectrum, cfg: dict) -> None:
     write_csv(
         output_dir / f"spectrum_{frame.value}.csv",
         ["index", "phase", "edge_weight_left", "edge_weight_right"],
@@ -323,7 +306,7 @@ def _write_spectrum_csv(output_dir: Path, frame: Frame, spectrum, h: str) -> Non
              float(spectrum.edge_weight_left[i]), float(spectrum.edge_weight_right[i]))
             for i in range(len(spectrum.phases))
         ],
-        h,
+        cfg,
     )
 
 
@@ -337,7 +320,6 @@ def cmd_spectrum(args) -> int:
         "boundary": args.boundary,
         "edge_cells": args.edge_cells,
     }
-    h = config_hash(cfg)
     spectrum = lattice_spectrum(
         ModelParams(args.tx, args.ty),
         args.frame,
@@ -345,8 +327,7 @@ def cmd_spectrum(args) -> int:
         args.boundary,
         args.edge_cells,
     )
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_spectrum_csv(args.output_dir, args.frame, spectrum, h)
+    _write_spectrum_csv(args.output_dir, args.frame, spectrum, cfg)
     print(f"spectrum: {len(spectrum.phases)} states -> {args.output_dir}")
     return 0
 
@@ -362,23 +343,16 @@ def cmd_edges(args) -> int:
         "edge_cells": args.edge_cells,
         "weight_tol": args.weight_tol,
     }
-    h = config_hash(cfg)
     params = ModelParams(args.tx, args.ty)
     n_zero, n_pi, spectrum = count_edge_modes(
         params, args.frame, args.length,
         e_tol=args.e_tol, edge_cells=args.edge_cells, weight_tol=args.weight_tol,
     )
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_spectrum_csv(args.output_dir, args.frame, spectrum, h)
+    _write_spectrum_csv(args.output_dir, args.frame, spectrum, cfg)
     write_json(
         args.output_dir / "edges.json",
-        {
-            "config": cfg,
-            "n_zero": n_zero,
-            "n_pi": n_pi,
-            "edge_cells": spectrum.edge_cells,
-        },
-        h,
+        {"n_zero": n_zero, "n_pi": n_pi, "edge_cells": spectrum.edge_cells},
+        cfg,
     )
     print(f"edge modes: n_zero={n_zero} n_pi={n_pi} -> {args.output_dir}")
     return 0
@@ -395,14 +369,12 @@ def cmd_pulses(args) -> int:
         "omega_ref": args.omega_ref,
         "elide_zero": not args.keep_zero_pulses,
     }
-    h = config_hash(cfg)
     params = ModelParams(args.tx, args.ty)
     schedule = compile_schedule(
         args.k, params, args.frame, args.periods, args.omega_ref,
         elide_zero=not args.keep_zero_pulses,
     )
-    payload = {"config": cfg}
-    payload.update(schedule.to_dict())
+    payload = schedule.to_dict()
     status = 0
     if args.verify:
         distance = verify_schedule(schedule, args.k, params, args.frame, args.periods)
@@ -410,8 +382,7 @@ def cmd_pulses(args) -> int:
         print(f"round-trip distance {distance:.3e}")
         if distance >= VERIFY_DISTANCE:
             status = 3
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    write_json(args.output_dir / "schedule.json", payload, h)
+    write_json(args.output_dir / "schedule.json", payload, cfg)
     print(f"{len(schedule.pulses)} pulses -> {args.output_dir}")
     return status
 

@@ -22,9 +22,9 @@ class InsufficientResolutionError(FloqlabError):
 
 
 class ParityError(FloqlabError):
-    """Two windings that must share a parity do not: the frame windings of
-    gap_invariants, or the slope sum of one quench frame (an unpaired
-    inversion point)."""
+    """Two windings that must share a parity do not: the two frame windings
+    that combine_windings halves, static or measured by a quench, or the
+    slope sum of one quench frame (an unpaired inversion point)."""
 
 
 class NoBisError(FloqlabError):

@@ -78,11 +78,10 @@ def real_space_floquet(
 
 @dataclass
 class LatticeSpectrum:
-    """Eigenphases in (-pi, pi], orthonormal eigenvectors (columns), and
-    per-state probability mass on the outer edge cells of each end."""
+    """Eigenphases in (-pi, pi] and per-state probability mass on the outer
+    edge cells of each end."""
 
     phases: np.ndarray
-    states: np.ndarray
     edge_weight_left: np.ndarray
     edge_weight_right: np.ndarray
     edge_cells: int
@@ -134,7 +133,6 @@ def lattice_spectrum(
     right = density[-2 * edge_cells :, :].sum(axis=0)
     return LatticeSpectrum(
         phases=phases,
-        states=states,
         edge_weight_left=left,
         edge_weight_right=right,
         edge_cells=edge_cells,

@@ -139,7 +139,11 @@ def axis_field(k, params: ModelParams, frame: Frame):
 
 
 def brillouin_grid(resolution: int) -> np.ndarray:
-    """Uniform momentum grid on (-pi, pi], endpoint excluded (periodic)."""
+    """Uniform momentum grid on (-pi, pi], endpoint excluded (periodic).
+    Every grid layer builds its grid here, so this is where a resolution
+    below 1 is refused."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be a positive integer: {resolution}")
     return -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
 
 

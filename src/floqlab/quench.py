@@ -159,26 +159,23 @@ def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:
     floor = base + 1.0 / (spec.steps * np.maximum(np.sin(energy), 1e-3))
     dips = np.abs(avg_q) < floor
     crossings = np.signbit(avg_q) != np.signbit(np.roll(avg_q, -1))
-    flagged = np.where(dips | crossings | np.roll(crossings, 1))[0]
+    flagged = np.flatnonzero(dips | crossings | np.roll(crossings, 1))
 
     marked = np.zeros(nk, dtype=bool)
-    for i in flagged:
-        marked[(i + np.arange(-SEARCH_WINDOW, SEARCH_WINDOW + 1)) % nk] = True
+    marked[(flagged[:, None] + np.arange(-SEARCH_WINDOW, SEARCH_WINDOW + 1)) % nk] = True
+    # interval [k_i, k_i + h] is searched when both of its ends are marked
+    searched = marked & np.roll(marked, -1)
+    prev, nxt = np.roll(nq, 1), np.roll(nq, -1)
+    # an exact grid-point zero counts only if the field crosses there
+    zero = (
+        searched & (nq == 0.0) & (prev != 0.0) & (nxt != 0.0)
+        & (np.signbit(prev) != np.signbit(nxt))
+    )
+    change = searched & (nq != 0.0) & (nxt != 0.0) & (np.signbit(nq) != np.signbit(nxt))
 
-    roots = []
-    for i in range(nk):
-        j = (i + 1) % nk
-        if not (marked[i] and marked[j]):
-            continue
-        fa, fb = nq[i], nq[j]
-        if fa == 0.0:
-            # exact grid-point zero counts only if the field crosses there
-            prev = nq[(i - 1) % nk]
-            if prev != 0.0 and fb != 0.0 and np.signbit(prev) != np.signbit(fb):
-                roots.append(ks[i])
-            continue
-        if fb == 0.0 or np.signbit(fa) == np.signbit(fb):
-            continue
+    roots = list(ks[zero])
+    for i in np.flatnonzero(change):
+        fa = nq[i]
         a, b = ks[i], ks[i] + h
         for _ in range(60):
             m = 0.5 * (a + b)

@@ -110,15 +110,22 @@ class InvariantPair:
     nu_pi: int
 
 
-def gap_invariants(params: ModelParams) -> InvariantPair:
-    """nu0 = (nu1 + nu2)/2 and nu_pi = (nu1 - nu2)/2 from the two frames."""
-    nu1 = winding_number(params, Frame.SYM1)
-    nu2 = winding_number(params, Frame.SYM2)
+def combine_windings(nu1: int, nu2: int) -> InvariantPair:
+    """nu0 = (nu1 + nu2)/2 and nu_pi = (nu1 - nu2)/2 from the SYM1 and SYM2
+    windings, however they were measured.  Raises ParityError when the two
+    differ in parity, since the halves are then not integers."""
     if (nu1 + nu2) % 2:
         raise ParityError(
             f"parity violation: frame windings {nu1}, {nu2} differ in parity"
         )
     return InvariantPair(nu0=(nu1 + nu2) // 2, nu_pi=(nu1 - nu2) // 2)
+
+
+def gap_invariants(params: ModelParams) -> InvariantPair:
+    """The gap invariants of the drive from its two exact frame windings."""
+    return combine_windings(
+        winding_number(params, Frame.SYM1), winding_number(params, Frame.SYM2)
+    )
 
 
 def _cos_energy_slopes(k, params: ModelParams):

@@ -198,3 +198,132 @@ def rng():
 @pytest.fixture(params=[Frame.SYM1, Frame.SYM2], ids=["sym1", "sym2"])
 def sym_frame(request):
     return request.param
+
+
+def loop_find_bis(trace, floor_tol=None):
+    """Oracle for quench.find_bis: the same windows, marked and scanned one
+    grid point at a time, and the same 60-step bisection per interval.
+
+    The scalar field comes from `floqlab.quench.axis_field`, looked up at
+    call time, so a counter patched in there counts both implementations.
+    """
+    from floqlab import quench
+    from floqlab.errors import NoBisError
+
+    spec = trace.spec
+    ks = trace.k_grid
+    nk = len(ks)
+    h = 2.0 * np.pi / nk
+    q = spec.frame.quench_axis
+    avg_q = trace.measured[q]
+    energy, nq = trace.energy, trace.n[:, q]
+
+    base = (
+        (quench.FLOOR_TOL_LONG if spec.steps >= 60 else quench.FLOOR_TOL_SHORT)
+        if floor_tol is None
+        else floor_tol
+    )
+    floor = base + 1.0 / (spec.steps * np.maximum(np.sin(energy), 1e-3))
+    dips = np.abs(avg_q) < floor
+    crossings = np.signbit(avg_q) != np.signbit(np.roll(avg_q, -1))
+    flagged = np.where(dips | crossings | np.roll(crossings, 1))[0]
+
+    window = quench.SEARCH_WINDOW
+    marked = np.zeros(nk, dtype=bool)
+    for i in flagged:
+        marked[(i + np.arange(-window, window + 1)) % nk] = True
+
+    roots = []
+    for i in range(nk):
+        j = (i + 1) % nk
+        if not (marked[i] and marked[j]):
+            continue
+        fa, fb = nq[i], nq[j]
+        if fa == 0.0:
+            prev = nq[(i - 1) % nk]
+            if prev != 0.0 and fb != 0.0 and np.signbit(prev) != np.signbit(fb):
+                roots.append(ks[i])
+            continue
+        if fb == 0.0 or np.signbit(fa) == np.signbit(fb):
+            continue
+        a, b = ks[i], ks[i] + h
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = float(quench.axis_field(m, spec.params, spec.frame)[1][q])
+            if fm == 0.0:
+                a = b = m
+                break
+            if np.signbit(fm) == np.signbit(fa):
+                a, fa = m, fm
+            else:
+                b = m
+        roots.append(0.5 * (a + b))
+
+    out = []
+    for r in sorted(roots):
+        r = (r + np.pi) % (2.0 * np.pi) - np.pi
+        if r <= -np.pi + 1e-9:
+            r = np.pi
+        if all(
+            abs(r - o) > quench._DEDUP_TOL
+            and abs(abs(r - o) - 2.0 * np.pi) > quench._DEDUP_TOL
+            for o in out
+        ):
+            out.append(r)
+    if not out:
+        raise NoBisError("no BIS found")
+    return sorted(out)
+
+
+def closing_distance(tx, ty, parity):
+    """Distance in (tx, ty) from each drive to the nearest closing curve of
+    the 0 gap (parity 0) or the pi gap (parity 1), broadcast over tx and ty.
+
+    The ellipse (tx cos k, ty sin k) passes through the lattice point
+    (a pi, b pi), a, b >= 0, on the curve (a pi / tx)^2 + (b pi / ty)^2 = 1,
+    which is the line |tx| = a pi when b = 0 and |ty| = b pi when a = 0.
+    There E = 0 when a + b is even and E = pi when it is odd.  Both gaps are
+    1-Lipschitz in (tx, ty), so each is at most this distance.
+
+    Every distance is taken to a point on a curve, so the result can only
+    over-estimate the true one.  That also holds for the curves left out:
+    of the curves (a pi sec phi, b pi csc phi), a, b >= 1, only those with
+    r = sqrt((a pi / |tx|)^2 + (b pi / |ty|)^2) in [1/2, 2] are kept (r = 1
+    on the curve).  Each kept curve takes six Newton steps on the squared
+    distance from three starts: the radial projection of the drive,
+    phi = atan2(b pi / |ty|, a pi / |tx|), and the curve points level with
+    it in tx and in ty.  The smallest distance seen counts.
+    """
+    x = np.abs(np.asarray(tx, dtype=float))[..., None]
+    y = np.abs(np.asarray(ty, dtype=float))[..., None]
+    m = np.arange(int(max(x.max(), y.max()) / np.pi) + 2.0)
+    level = np.pi * m[m % 2 == parity]
+    lines = np.minimum(np.abs(x - level).min(-1), np.abs(y - level).min(-1))
+    a, b = np.meshgrid(m[1:], m[1:], indexing="ij")
+    pairs = (a + b) % 2 == parity
+    A, B = np.pi * a[pairs], np.pi * b[pairs]
+    with np.errstate(all="ignore"):
+        r = np.hypot(A / x, B / y)
+        near = (r >= 0.5) & (r <= 2.0)
+        used = near.any(axis=tuple(range(near.ndim - 1)))
+        A, B, near = A[used, None], B[used, None], near[..., used]
+        x, y = x[..., None], y[..., None]
+        phi = np.concatenate(np.broadcast_arrays(
+            np.arctan2(B / y, A / x),
+            np.arccos(np.minimum(A / x, 1.0)),
+            np.arcsin(np.minimum(B / y, 1.0)),
+        ), axis=-1)
+        best = np.full(phi.shape, np.inf)
+        for _ in range(7):
+            sec, csc = 1.0 / np.cos(phi), 1.0 / np.sin(phi)
+            X, Y = A * sec, B * csc
+            best = np.fmin(best, np.hypot(X - x, Y - y))
+            tan, cot = sec * np.sin(phi), csc * np.cos(phi)
+            dX, dY = X * tan, -Y * cot
+            ddX, ddY = X * (tan * tan + sec * sec), Y * (cot * cot + csc * csc)
+            slope = (X - x) * dX + (Y - y) * dY
+            curvature = dX * dX + (X - x) * ddX + dY * dY + (Y - y) * ddY
+            step = np.where(curvature > 0.0, slope / curvature, 0.0)
+            phi = np.clip(phi - step, 1e-12, 0.5 * np.pi - 1e-12)
+    curves = np.where(near, best.min(-1), np.inf).min(-1, initial=np.inf)
+    return np.minimum(lines, curves)

@@ -9,6 +9,7 @@ import pytest
 from floqlab import lattice, quench, topology
 from floqlab.cli import main, parse_angle
 from floqlab.model import Frame
+from floqlab.serialize import config_hash
 
 
 def run(args, tmp_path, extra=()):
@@ -306,7 +307,9 @@ class TestConfigFile:
 
 
 class TestParityChecks:
-    # a correct drive cannot fail these checks, so each failure is forced
+    # a correct drive cannot fail the static check or a frame's slope sum,
+    # so those failures are forced; a coarse quench can measure frame
+    # windings of unequal parity
     def assert_one_error_line(self, rc, capsys, text):
         assert rc == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
@@ -330,6 +333,14 @@ class TestParityChecks:
         monkeypatch.setattr(quench, "slope_at_bis", first_slope_flat)
         rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi"], tmp_path)
         self.assert_one_error_line(rc, capsys, "unpaired inversion points")
+
+    def test_quench_frame_windings_of_unequal_parity(self, tmp_path, capsys):
+        # at grid 3 and one step the quench reads sym1 0 and sym2 -1, whose
+        # halves are not integers
+        rc = run(["quench", "--tx", "1.5", "--ty", "1.5", "--grid", "3", "--steps", "1"],
+                 tmp_path)
+        self.assert_one_error_line(rc, capsys, "error: parity violation")
+        assert not (tmp_path / "bis_report.json").exists()
 
 
 class TestConfigHash:
@@ -356,6 +367,32 @@ class TestConfigHash:
             else:
                 hashes.add(path.read_text().splitlines()[0].split("config_hash=")[1])
         assert hashes == {expected}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["phase-diagram", "--cells", "2", "--resolution", "256"],
+            ["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "10", "--grid", "128",
+             "--shots", "1000", "--seed", "4"],
+            ["spectrum", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "8",
+             "--boundary", "periodic"],
+            ["edges", "--tx", "0.5pi", "--ty", "0.5pi", "--length", "20", "--edge-cells", "3"],
+            ["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi", "--frame", "sym2",
+             "--periods", "3", "--omega-ref", "1e6", "--verify"],
+        ],
+        ids=["phase-diagram", "quench", "spectrum", "edges", "pulses"],
+    )
+    def test_every_file_carries_the_hash_of_its_config(self, tmp_path, args):
+        assert run(args, tmp_path) == 0
+        hashes = set()
+        for path in tmp_path.iterdir():
+            if path.suffix == ".json":
+                doc = json.loads(path.read_text())
+                assert config_hash(doc["config"]) == doc["meta"]["config_hash"]
+                hashes.add(doc["meta"]["config_hash"])
+            else:
+                hashes.add(path.read_text().splitlines()[0].split("config_hash=")[1])
+        assert len(hashes) == 1
 
 
 class TestBadInput:

@@ -10,12 +10,13 @@ from floqlab.model import (
     axis_field,
     brillouin_grid,
     floquet_operator,
+    grid_trig,
     quasienergy,
     step_angles,
 )
-from floqlab.quench import QuenchSpec
+from floqlab.quench import QuenchSpec, evolve_polarizations, winding_from_quench
 from floqlab.spinalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_exp
-from floqlab.topology import winding_number
+from floqlab.topology import band_gaps, phase_diagram, winding_number
 
 XHAT = np.array([1.0, 0.0, 0.0])
 YHAT = np.array([0.0, 1.0, 0.0])
@@ -66,6 +67,28 @@ class TestStepAngles:
         thx, thy = step_angles(np.pi, ModelParams(1.3, 0.7))
         assert thx == pytest.approx(-1.3)
         assert thy == pytest.approx(0.0, abs=1e-15)
+
+
+class TestBrillouinGrid:
+    # one check in brillouin_grid serves every layer that builds a grid;
+    # without it a resolution of 0 ends in ZeroDivisionError
+    @pytest.mark.parametrize("resolution", [0, -4])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            brillouin_grid,
+            grid_trig,
+            lambda n: band_gaps(CASE1, n),
+            lambda n: phase_diagram(cells=1, resolution=n),
+            lambda n: evolve_polarizations(QuenchSpec(CASE1, Frame.SYM1, resolution=n)),
+            lambda n: winding_from_quench(QuenchSpec(CASE1, Frame.SYM2, resolution=n)),
+        ],
+        ids=["brillouin_grid", "grid_trig", "band_gaps", "phase_diagram",
+             "evolve_polarizations", "winding_from_quench"],
+    )
+    def test_resolution_below_one_rejected(self, call, resolution):
+        with pytest.raises(ValueError, match="resolution must be a positive integer"):
+            call(resolution)
 
 
 class TestFrame:

@@ -1,9 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASE1, CASE2, expectation, random_nonboundary_params, spin_state
+from conftest import (
+    CASE1,
+    CASE2,
+    expectation,
+    loop_find_bis,
+    random_nonboundary_params,
+    spin_state,
+)
+from floqlab import quench
 from floqlab.errors import AmbiguousSlopeError, GaplessPointError, NoBisError
 from floqlab.model import (
     Frame,
@@ -191,6 +201,61 @@ class TestFindBis:
         trace.measured[1] = -0.9
         with pytest.raises(NoBisError, match="no BIS found"):
             find_bis(trace)
+
+    @staticmethod
+    def outcome_and_field_calls(search, trace):
+        """The roots (or the error type) and the number of axis_field calls."""
+        real, calls = quench.axis_field, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        with mock.patch.object(quench, "axis_field", counting):
+            try:
+                outcome = search(trace)
+            except (NoBisError, GaplessPointError) as exc:
+                outcome = type(exc)
+        return outcome, len(calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tx=st.floats(-3.0 * np.pi, 3.0 * np.pi),
+        ty=st.floats(-3.0 * np.pi, 3.0 * np.pi),
+        frame=st.sampled_from([Frame.SYM1, Frame.SYM2]),
+        # even grids hold k = 0 and -pi, where one frame's field is exactly 0
+        grid=st.sampled_from([3, 4, 8, 64, 512]),
+        steps=st.sampled_from([1, 10, 60]),
+        shots=st.sampled_from([None, 10**6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_loop_oracle(self, tx, ty, frame, grid, steps, shots, seed):
+        spec = QuenchSpec(ModelParams(tx, ty), frame, steps, grid, shots, seed)
+        try:
+            trace = evolve_polarizations(spec)
+        except GaplessPointError:
+            assume(False)
+        assert self.outcome_and_field_calls(find_bis, trace) == (
+            self.outcome_and_field_calls(loop_find_bis, trace)
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.sampled_from([-0.9, 0.0, 0.9])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_equals_the_loop_oracle_on_written_fields(self, points):
+        # a drive's field is exactly 0 only where it crosses (SYM1 at k = 0),
+        # so tangent and adjacent zeros are written into the trace by hand;
+        # the bisection still reads the drive's own field
+        trace = evolve_polarizations(QuenchSpec(CASE2, Frame.SYM1, resolution=len(points)))
+        trace.n[:, 1], trace.measured[1] = np.array(points).T
+        assert self.outcome_and_field_calls(find_bis, trace) == (
+            self.outcome_and_field_calls(loop_find_bis, trace)
+        )
 
 
 class TestSlopes:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     CASE1,
     CASE2,
+    closing_distance,
     enclosed_winding,
     golden_min_gap,
     grid_winding,
@@ -17,7 +18,7 @@ from conftest import (
     single_gap_newton,
 )
 from floqlab import topology
-from floqlab.errors import GaplessPointError
+from floqlab.errors import GaplessPointError, ParityError
 from floqlab.model import (
     Frame,
     ModelParams,
@@ -27,11 +28,13 @@ from floqlab.model import (
     quasienergy,
 )
 from floqlab.topology import (
+    BOUNDARY_TOL,
     DEFAULT_RESOLUTION,
     InvariantPair,
     _cell_centers,
     _crossing_count,
     band_gaps,
+    combine_windings,
     gap_invariants,
     local_minima,
     min_gap,
@@ -144,6 +147,40 @@ class TestGapInvariants:
             nu1 = winding_number(params, Frame.SYM1)
             nu2 = winding_number(params, Frame.SYM2)
             assert (nu1 + nu2) % 2 == 0
+
+    @given(nu1=st.integers(-60, 60), nu2=st.integers(-60, 60))
+    def test_combine_windings_halves_or_refuses(self, nu1, nu2):
+        if (nu1 + nu2) % 2:
+            with pytest.raises(ParityError, match="parity violation"):
+                combine_windings(nu1, nu2)
+        else:
+            pair = combine_windings(nu1, nu2)
+            assert (pair.nu0 + pair.nu_pi, pair.nu0 - pair.nu_pi) == (nu1, nu2)
+
+
+class TestGapBound:
+    # Both gaps are 1-Lipschitz in (tx, ty) and vanish on their closing
+    # curves, so neither can exceed the distance to the nearest one.  A
+    # band_gaps that overshoots a minimum by more than a few percent fails.
+    @staticmethod
+    def assert_within_bound(gap, distance):
+        assert np.all(gap <= distance * (1.0 + 1e-9) + 1e-12)
+
+    def test_every_cell_of_the_default_diagram(self):
+        cells = phase_diagram().cells
+        tx, ty = np.array([[c.tx, c.ty] for c in cells]).T
+        gaps = np.array([[c.min_gap0, c.min_gap_pi] for c in cells]).T
+        for parity, gap in enumerate(gaps):
+            distance = closing_distance(tx, ty, parity)
+            self.assert_within_bound(gap, distance)
+            # so a cell this close to a closing must be a boundary cell
+            assert all(c.boundary for c in np.array(cells)[distance < BOUNDARY_TOL])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tx=st.floats(-40 * np.pi, 40 * np.pi), ty=st.floats(-40 * np.pi, 40 * np.pi))
+    def test_sampled_drives_of_both_signs(self, tx, ty):
+        for parity, gap in enumerate(band_gaps(ModelParams(tx, ty))):
+            self.assert_within_bound(gap, closing_distance(tx, ty, parity))
 
 
 def _dense_gap_minima(params, points=2**22, chunk=2**18):
