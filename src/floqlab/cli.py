@@ -245,6 +245,9 @@ def cmd_quench(args) -> int:
         "floor_tol": args.floor_tol,
     }
     params = ModelParams(args.tx, args.ty)
+    # A run that exits 1 or 2 must not leave an earlier run's report beside
+    # its own traces.
+    (args.output_dir / "bis_report.json").unlink(missing_ok=True)
     frame_blocks = {}
     for frame in frames:
         spec = QuenchSpec(

@@ -26,9 +26,10 @@ DEFAULT_RANGE = (0.0, 3.0 * np.pi)
 # A phase-diagram cell is a boundary cell when either gap drops below this.
 BOUNDARY_TOL = 1e-3
 
-# Newton steps per bracket in band_gaps.  From within one grid step of a
-# simple extremum of g, Newton reaches rounding in about four; the rest
-# cover the steps that bisect.
+# The cap on Newton steps per bracket in band_gaps.  From within one grid
+# step of a simple extremum of g, Newton reaches rounding in about four; the
+# rest cover the steps that bisect.  The loop stops earlier, with the same
+# result, once its state cycles (see band_gaps).
 NEWTON_STEPS = 8
 
 
@@ -162,13 +163,23 @@ def band_gaps(params: ModelParams, resolution: int = DEFAULT_RESOLUTION) -> tupl
     One scan of the momentum grid, with E computed from the cached cos k and
     sin k of `grid_trig` by the formula of `quasienergy`, brackets each local
     grid minimum of E (0 gap) and of pi - E (pi gap) by [k - h, k + h], h the
-    grid step.  All brackets then take NEWTON_STEPS Newton steps together on
-    sign * g'(k), g = cos E = cos theta_x cos theta_y, with sign +1 for the 0
-    gap (a maximum of g) and -1 for the pi gap (a minimum).  Where the
-    curvature has the wrong sign, a step bisects toward the uphill end of the
-    bracket; every step is clipped to it.  Each gap is the smaller of its grid
-    minimum and its E at the refined momenta.  Every step is elementwise, so
-    a gap is bitwise what a pass over its brackets alone gives.
+    grid step.  All brackets then take up to NEWTON_STEPS Newton steps
+    together on sign * g'(k), g = cos E = cos theta_x cos theta_y, with sign
+    +1 for the 0 gap (a maximum of g) and -1 for the pi gap (a minimum).
+    Where the curvature has the wrong sign, a step bisects toward the uphill
+    end of the bracket; every step is clipped to it.  Each gap is the smaller
+    of its grid minimum and its E at the refined momenta.  Every step is
+    elementwise, so a gap is bitwise what a pass over its brackets alone
+    gives.
+
+    NEWTON_STEPS is a cap, not a count.  A step is a fixed function of the
+    bits of k (lo, hi, sign and params do not change), so once k after step
+    n has the bytes it had after step n - 2, every later state repeats with
+    period 2 (a fixed point shows one step later as such a repeat).  The
+    state after NEWTON_STEPS steps is then k after step n when
+    NEWTON_STEPS - n is even and k after step n - 1 otherwise, and the loop
+    stops there with the result of the full count, bit for bit.  The bytes
+    are compared, not the values, so -0.0 and NaN repeat only as themselves.
 
     g is smooth where a gap closes, while E has a kink (E ~ |k - k0|), so
     Newton on g reaches a closing that sits between grid points, where the
@@ -187,13 +198,24 @@ def band_gaps(params: ModelParams, resolution: int = DEFAULT_RESOLUTION) -> tupl
     sign = np.where(np.arange(k.size) < count0, 1.0, -1.0)
     lo, hi = k - h, k + h
     # Newton on sign * g, so the extremum sought is always a maximum.
+    history = [k.tobytes()]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(NEWTON_STEPS):
+        for step in range(1, NEWTON_STEPS + 1):
             slope, curvature = _cos_energy_slopes(k, params)
             slope, curvature = sign * slope, sign * curvature
             newton = np.minimum(np.maximum(k - slope / curvature, lo), hi)
-            bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
-            k = np.where(curvature < 0.0, newton, bisect)
+            concave = curvature < 0.0
+            previous = k
+            if concave.all():
+                k = newton
+            else:
+                bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
+                k = np.where(concave, newton, bisect)
+            history.append(k.tobytes())
+            if step >= 2 and history[-1] == history[-3]:
+                if (NEWTON_STEPS - step) % 2:
+                    k = previous
+                break
     refined = angle_quasienergy(*step_angles(k, params))
     refined = (refined[:count0], np.pi - refined[count0:])
     return tuple(float(min(v.min(), r.min())) for v, r in zip(gaps, refined))

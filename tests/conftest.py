@@ -143,13 +143,14 @@ def golden_min_gap(params, which, resolution=2048):
     return float(min(values.min(), f((a + b) / 2.0).min()))
 
 
-def single_gap_newton(params, which, resolution=2048):
-    """Oracle for topology.band_gaps: one gap on its own, by the single-gap
-    Newton pass that band_gaps runs for both gaps at once.
+def single_gap_newton_states(params, which, resolution=2048):
+    """The grid values of one gap and every state of its full Newton pass.
 
-    The same grid scan, the brackets of that gap only, NEWTON_STEPS
-    safeguarded Newton steps on sign * g', and one quasienergy call at the
-    refined momenta; band_gaps must equal it bit for bit.
+    The same grid scan as topology.band_gaps, the brackets of that gap only,
+    and all NEWTON_STEPS safeguarded Newton steps on sign * g', with no early
+    exit.  Returns (values, states, curvatures): values is the gap on the
+    grid, states[n] the momenta after step n (states[0] the grid minima), and
+    curvatures[n] the signed g'' that step n + 1 saw.
     """
     from floqlab.model import brillouin_grid, quasienergy
     from floqlab.topology import NEWTON_STEPS, _cos_energy_slopes
@@ -164,6 +165,7 @@ def single_gap_newton(params, which, resolution=2048):
     h = 2.0 * np.pi / resolution
     k = ks[local]
     lo, hi = k - h, k + h
+    states, curvatures = [k], []
     for _ in range(NEWTON_STEPS):
         slope, curvature = _cos_energy_slopes(k, params)
         slope, curvature = sign * slope, sign * curvature
@@ -171,7 +173,20 @@ def single_gap_newton(params, which, resolution=2048):
             newton = np.clip(k - slope / curvature, lo, hi)
         bisect = (k + np.where(slope >= 0.0, hi, lo)) / 2.0
         k = np.where(curvature < 0.0, newton, bisect)
-    refined = quasienergy(k, params)
+        states.append(k)
+        curvatures.append(curvature)
+    return values, states, curvatures
+
+
+def single_gap_newton(params, which, resolution=2048):
+    """Oracle for topology.band_gaps: one gap on its own, from the last state
+    of its full Newton pass and one quasienergy call at those momenta;
+    band_gaps must equal it bit for bit.
+    """
+    from floqlab.model import quasienergy
+
+    values, states, _ = single_gap_newton_states(params, which, resolution)
+    refined = quasienergy(states[-1], params)
     if which == "pi":
         refined = np.pi - refined
     return float(min(values.min(), refined.min()))

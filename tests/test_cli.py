@@ -85,6 +85,25 @@ class TestQuenchCommand:
         assert diag["error"] == "no BIS found"
         assert diag["frame"] == "sym1"
 
+    @pytest.mark.parametrize("exit_code", [1, 2])
+    def test_failed_run_leaves_no_earlier_report(self, tmp_path, monkeypatch, exit_code):
+        assert run(["quench", "--tx", "0.5pi", "--ty", "0.5pi"], tmp_path) == 0
+        assert (tmp_path / "bis_report.json").exists()
+        if exit_code == 2:
+            import floqlab.cli as cli_mod
+            from floqlab.errors import NoBisError
+
+            def boom(trace, floor_tol=None):
+                raise NoBisError("no BIS found: forced")
+
+            monkeypatch.setattr(cli_mod, "bis_report", boom)
+        # at grid 3 and one step the frame windings differ in parity (exit 1)
+        rc = run(["quench", "--tx", "1.5", "--ty", "1.5", "--grid", "3", "--steps", "1"],
+                 tmp_path)
+        assert rc == exit_code
+        assert (tmp_path / "quench_sym1.csv").exists()
+        assert not (tmp_path / "bis_report.json").exists()
+
     def test_single_frame(self, tmp_path):
         rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--frame", "sym2"],
                  tmp_path)

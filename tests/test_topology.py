@@ -16,6 +16,7 @@ from conftest import (
     numpy_crossing_count,
     random_nonboundary_params,
     single_gap_newton,
+    single_gap_newton_states,
 )
 from floqlab import topology
 from floqlab.errors import GaplessPointError, ParityError
@@ -30,6 +31,7 @@ from floqlab.model import (
 from floqlab.topology import (
     BOUNDARY_TOL,
     DEFAULT_RESOLUTION,
+    NEWTON_STEPS,
     InvariantPair,
     _cell_centers,
     _crossing_count,
@@ -345,6 +347,105 @@ class TestMinGap:
         v = np.array(values)
         rolled = (v <= np.roll(v, 1)) & (v <= np.roll(v, -1))
         assert np.array_equal(local_minima(v), rolled)
+
+
+def _counted_band_gaps(params, resolution=DEFAULT_RESOLUTION):
+    """band_gaps of params, the number of Newton steps it took (calls of
+    _cos_energy_slopes), and the bytes of the refined momenta it evaluates
+    (the k it passes to step_angles)."""
+    calls, refined = [], []
+    slopes, angles = topology._cos_energy_slopes, topology.step_angles
+
+    def counting(k, p):
+        calls.append(k.size)
+        return slopes(k, p)
+
+    def recording(k, p):
+        refined.append(k.tobytes())
+        return angles(k, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "_cos_energy_slopes", counting)
+        patch.setattr(topology, "step_angles", recording)
+        gaps = band_gaps(params, resolution)
+    return gaps, len(calls), refined
+
+
+def _oracle_pass(params, resolution=DEFAULT_RESOLUTION):
+    """The oracle's full Newton pass over both gaps' brackets, stacked as
+    band_gaps stacks them: (n, states, curvatures), with states[i] the bytes
+    of the momenta after step i, curvatures[i] the signed g'' of step i + 1,
+    and n the first step whose momenta repeat the bytes of step n - 2 (None
+    when no step does)."""
+    passes = [single_gap_newton_states(params, which, resolution)
+              for which in (0, "pi")]
+    states = [np.concatenate(pair).tobytes()
+              for pair in zip(passes[0][1], passes[1][1])]
+    curvatures = [np.concatenate(pair) for pair in zip(passes[0][2], passes[1][2])]
+    n = next((n for n in range(2, len(states)) if states[n] == states[n - 2]), None)
+    return n, states, curvatures
+
+
+class TestNewtonExit:
+    """band_gaps stops its Newton loop once the momenta repeat the bytes they
+    had two steps before; the oracle always runs all NEWTON_STEPS steps."""
+
+    # enters a period-2 cycle at step 5 with 3 steps left, so the result is
+    # the other member of the cycle, the momenta after step 4
+    PERIOD_TWO = ModelParams(0.025 * np.pi, 1.275 * np.pi)
+    # merged closings: 2 of its 12 brackets bisect at step 1
+    BISECTS = ModelParams(3.0 * np.pi + 3.2e-8, 1e-6)
+    # a default-diagram cell whose momenta never repeat within the cap
+    NEVER = ModelParams(1.075 * np.pi, 1.425 * np.pi)
+
+    @staticmethod
+    def assert_exact(params, resolution=DEFAULT_RESOLUTION):
+        """band_gaps refines the oracle's momenta after all NEWTON_STEPS
+        steps, bit for bit, in at most NEWTON_STEPS steps; returns the
+        number of steps it took."""
+        gaps, steps, refined = _counted_band_gaps(params, resolution)
+        _, states, _ = _oracle_pass(params, resolution)
+        assert refined == [states[NEWTON_STEPS]]
+        assert gaps == (
+            single_gap_newton(params, 0, resolution),
+            single_gap_newton(params, "pi", resolution),
+        )
+        assert steps <= NEWTON_STEPS
+        return steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tx=st.floats(-40 * np.pi, 40 * np.pi),
+        ty=st.floats(-40 * np.pi, 40 * np.pi),
+        resolution=st.sampled_from([512, 2048]),
+    )
+    def test_equals_the_full_pass_oracle(self, tx, ty, resolution):
+        # at 40 pi most drives run all 8 steps, near 3 pi most stop early
+        self.assert_exact(ModelParams(tx, ty), resolution)
+
+    def test_period_two_cycle_at_an_odd_remainder(self):
+        n, states, _ = _oracle_pass(self.PERIOD_TWO)
+        assert n == 5 and states[n] != states[n - 1]
+        assert states[NEWTON_STEPS] == states[n - 1]
+        self.assert_exact(self.PERIOD_TWO)
+
+    def test_bisect_branch(self):
+        _, _, curvatures = _oracle_pass(self.BISECTS)
+        assert curvatures[0].size == 12
+        assert np.count_nonzero(~(curvatures[0] < 0.0)) == 2
+        self.assert_exact(self.BISECTS)
+
+    def test_no_repeat_runs_the_cap(self):
+        n, _, _ = _oracle_pass(self.NEVER)
+        assert n is None
+        assert self.assert_exact(self.NEVER) == NEWTON_STEPS
+
+    @pytest.mark.parametrize("params", [CASE1, PERIOD_TWO], ids=["case1", "period-two"])
+    def test_stops_at_the_first_repeat(self, params):
+        # the cost guard of the exit: a loop that ran to the cap would make
+        # NEWTON_STEPS calls here
+        n, _, _ = _oracle_pass(params)
+        assert self.assert_exact(params) == n < NEWTON_STEPS
 
 
 class TestCrossingCount:
