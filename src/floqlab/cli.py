@@ -37,7 +37,8 @@ VERIFY_DISTANCE = 1e-10
 def parse_angle(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("pi"):
-        value = float(text[:-2] or "1") * np.pi
+        head = text[:-2]
+        value = float(head if head.strip("+-") else head + "1") * np.pi
     else:
         value = float(text)
     if not np.isfinite(value):
@@ -245,9 +246,9 @@ def cmd_quench(args) -> int:
         "floor_tol": args.floor_tol,
     }
     params = ModelParams(args.tx, args.ty)
-    # A run that exits 1 or 2 must not leave an earlier run's report beside
-    # its own traces.
-    (args.output_dir / "bis_report.json").unlink(missing_ok=True)
+    # A run leaves only its own files, also when it exits 1 or 2.
+    for name in ("quench_sym1.csv", "quench_sym2.csv", "bis_report.json"):
+        (args.output_dir / name).unlink(missing_ok=True)
     frame_blocks = {}
     for frame in frames:
         spec = QuenchSpec(
@@ -347,6 +348,9 @@ def cmd_edges(args) -> int:
         "weight_tol": args.weight_tol,
     }
     params = ModelParams(args.tx, args.ty)
+    # as in cmd_quench; cmd_spectrum writes the same spectrum_<frame>.csv
+    for name in ["edges.json", *(f"spectrum_{f.value}.csv" for f in Frame)]:
+        (args.output_dir / name).unlink(missing_ok=True)
     n_zero, n_pi, spectrum = count_edge_modes(
         params, args.frame, args.length,
         e_tol=args.e_tol, edge_cells=args.edge_cells, weight_tol=args.weight_tol,
@@ -404,7 +408,7 @@ def main(argv=None) -> int:
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
         return args.func(args)
-    except (FloqlabError, ValueError) as exc:
+    except (FloqlabError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

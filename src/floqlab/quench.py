@@ -6,6 +6,10 @@ The quench direction is set by the frame: SYM1 is probed along y (initial
 state the sigma_y = -1 eigenstate), SYM2 along x.  Band inversions are the
 momenta where the quench-direction component of the Bloch axis vanishes;
 there the time-averaged polarization along the quench axis dips to zero.
+
+The averages over t = 1..N periods are exact, -n_q n (1 - C_N) - C_N e_q
+with C_N = (1/N) sum_t cos 2tE in closed form at E folded to min(E, pi - E),
+so memory does not grow with the number of steps.
 """
 
 from dataclasses import dataclass
@@ -58,7 +62,6 @@ class PolarizationTrace:
     k_grid: np.ndarray
     energy: np.ndarray      # quasienergy E on the grid
     n: np.ndarray           # Bloch axis on the grid, shape (resolution, 3)
-    s_t: np.ndarray         # (x, y) spin, shape (2, resolution, steps), t = 1..N
     measured: np.ndarray    # (x, y) means over t = 1..N, sampled if spec.shots is set
     stderr: np.ndarray      # standard errors of `measured`; zeros when noise-free
 
@@ -96,43 +99,35 @@ def sample_shots(polarization, shots: int, seed) -> tuple:
     return estimate, stderr
 
 
-def _stream_seed(master: int, k_index: int, observable: str):
-    # one independent stream per (k, observable), so the draws at one
-    # momentum do not depend on the grid or on the other observable
-    return (int(master), int(k_index), 0 if observable == "x" else 1)
-
-
 def evolve_polarizations(spec: QuenchSpec) -> PolarizationTrace:
-    """Stroboscopic traces and their time averages, sampled per point with
-    binomial shot noise when spec.shots is set.
+    """Spin polarizations averaged over t = 1..N periods, sampled per point
+    with binomial shot noise when spec.shots is set.
 
     Each period turns the spin by 2E about the in-plane axis n, so the
-    initial -e_q spin reads s(t) = -n_q n (1 - cos 2tE) - cos(2tE) e_q.
+    initial -e_q spin reads s(t) = -n_q n (1 - cos 2tE) - cos(2tE) e_q, with
+    mean -n_q n (1 - C_N) - C_N e_q, C_N = sin(N d) cos((N+1) d) / (N sin d).
+    cos 2tE is unchanged by E -> pi - E, so d = min(E, pi - E) keeps
+    sin(N d) at a small argument.  Memory is O(resolution) at any N.
     Raises GaplessPointError when a grid momentum sits on a gap closing.
     """
     ks = brillouin_grid(spec.resolution)
     energy, n = axis_field(ks, spec.params, spec.frame)
     q = spec.frame.quench_axis
-    c = np.cos(2.0 * np.outer(energy, np.arange(1, spec.steps + 1)))
-    s_t = -(n[:, q] * n[:, :2].T)[:, :, None] * (1.0 - c)
-    s_t[q] -= c
-    avg = s_t.mean(axis=2)
-    if spec.shots is None:
-        return PolarizationTrace(spec, ks, energy, n, s_t, avg, np.zeros_like(avg))
-    est, err = zip(*(_sample_grid(avg[a], spec, "xy"[a]) for a in (0, 1)))
-    return PolarizationTrace(spec, ks, energy, n, s_t, np.array(est), np.array(err))
-
-
-def _sample_grid(avg, spec: QuenchSpec, observable: str):
-    est = np.empty_like(avg)
-    err = np.empty_like(avg)
-    for i, value in enumerate(avg):
-        est[i], err[i] = sample_shots(
-            np.clip(value, -1.0, 1.0),
-            spec.shots,
-            _stream_seed(spec.seed, i, observable),
-        )
-    return est, err
+    steps = spec.steps
+    d = np.minimum(energy, np.pi - energy)
+    mean_cos = np.sin(steps * d) * np.cos((steps + 1) * d) / (steps * np.sin(d))
+    measured = -(n[:, q] * n[:, :2].T) * (1.0 - mean_cos)
+    measured[q] -= mean_cos
+    stderr = np.zeros_like(measured)
+    if spec.shots is not None:
+        # one independent stream per (k, observable), so the draws at one
+        # momentum depend neither on the grid nor on the other observable
+        for a in (0, 1):
+            for i, value in enumerate(measured[a]):
+                measured[a, i], stderr[a, i] = sample_shots(
+                    np.clip(value, -1.0, 1.0), spec.shots, (int(spec.seed), i, a)
+                )
+    return PolarizationTrace(spec, ks, energy, n, measured, stderr)
 
 
 def find_bis(trace: PolarizationTrace, floor_tol: float | None = None) -> list:

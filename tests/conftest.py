@@ -215,6 +215,22 @@ def sym_frame(request):
     return request.param
 
 
+def per_step_polarizations(spec):
+    """Oracle for quench.evolve_polarizations: the (x, y) spin after each
+    period t = 1..N, shape (2, resolution, steps), from the per-step closed
+    form s(t) = -n_q n (1 - cos 2tE) - cos(2tE) e_q; its mean over t is the
+    noise-free average.
+    """
+    from floqlab.model import axis_field, brillouin_grid
+
+    energy, n = axis_field(brillouin_grid(spec.resolution), spec.params, spec.frame)
+    q = spec.frame.quench_axis
+    c = np.cos(2.0 * np.outer(energy, np.arange(1, spec.steps + 1)))
+    s_t = -(n[:, q] * n[:, :2].T)[:, :, None] * (1.0 - c)
+    s_t[q] -= c
+    return s_t
+
+
 def loop_find_bis(trace, floor_tol=None):
     """Oracle for quench.find_bis: the same windows, marked and scanned one
     grid point at a time, and the same 60-step bisection per interval.

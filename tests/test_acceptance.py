@@ -7,7 +7,13 @@ import time
 
 import numpy as np
 
-from conftest import CASE1, CASE2, enclosed_winding, random_nonboundary_params
+from conftest import (
+    CASE1,
+    CASE2,
+    enclosed_winding,
+    per_step_polarizations,
+    random_nonboundary_params,
+)
 from floqlab.lattice import count_edge_modes
 from floqlab.model import Frame, ModelParams
 from floqlab.pulsegen import compile_schedule, verify_schedule
@@ -110,7 +116,7 @@ def test_criterion_4_shot_noise_realism():
             spec = QuenchSpec(params, frame, steps=10, resolution=512,
                               shots=10**6, seed=seed)
             trace = evolve_polarizations(spec)
-            exact_avg = trace.s_t.mean(axis=2)
+            exact_avg = per_step_polarizations(spec).mean(axis=2)
             for exact, est, err_hat in zip(exact_avg, trace.measured, trace.stderr):
                 p = (1.0 + np.clip(exact, -1, 1)) / 2.0
                 sigma = 2.0 * np.sqrt(p * (1.0 - p) / spec.shots)

@@ -23,12 +23,21 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def file_hash(path):
+    """The config hash a CSV or JSON output file carries."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["meta"]["config_hash"]
+    return path.read_text().splitlines()[0].split("config_hash=")[1]
+
+
 class TestParseAngle:
     @pytest.mark.parametrize(
         "text,value",
         [
             ("0.5pi", 0.5 * np.pi),
             ("pi", np.pi),
+            ("-pi", -np.pi),
+            ("+pi", np.pi),
             ("-0.5pi", -0.5 * np.pi),
             ("2.5PI", 2.5 * np.pi),
             ("1.5", 1.5),
@@ -103,6 +112,14 @@ class TestQuenchCommand:
         assert rc == exit_code
         assert (tmp_path / "quench_sym1.csv").exists()
         assert not (tmp_path / "bis_report.json").exists()
+
+    def test_fewer_frames_leave_no_earlier_traces(self, tmp_path):
+        assert run(["quench", "--tx", "0.5pi", "--ty", "0.5pi"], tmp_path) == 0
+        assert run(["quench", "--tx", "2.5pi", "--ty", "0.5pi", "--frame", "sym1"],
+                   tmp_path) == 0
+        hashes = {path.name: file_hash(path) for path in tmp_path.iterdir()}
+        assert set(hashes) == {"quench_sym1.csv", "bis_report.json"}
+        assert len(set(hashes.values())) == 1
 
     def test_single_frame(self, tmp_path):
         rc = run(["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--frame", "sym2"],
@@ -237,6 +254,14 @@ class TestEdgesAndSpectrumCommands:
         )
         assert edges_rows == spectrum_rows
         assert json.loads((tmp_path / "edges" / "edges.json").read_text())["edge_cells"] == 3
+
+    def test_edges_in_another_frame_leave_no_earlier_spectrum(self, tmp_path):
+        point = ["--tx", "2.5pi", "--ty", "0.5pi", "--length", "40"]
+        assert run(["edges", *point, "--frame", "sym1"], tmp_path) == 0
+        assert run(["edges", *point, "--frame", "sym2"], tmp_path) == 0
+        hashes = {path.name: file_hash(path) for path in tmp_path.iterdir()}
+        assert set(hashes) == {"spectrum_sym2.csv", "edges.json"}
+        assert len(set(hashes.values())) == 1
 
     def test_edges_small_gap_errors(self, tmp_path, capsys):
         rc = run(["edges", "--tx", "pi", "--ty", "0.5pi", "--length", "20"],
@@ -379,13 +404,7 @@ class TestConfigHash:
     )
     def test_defaults_keep_their_hash(self, tmp_path, args, expected):
         assert run(args, tmp_path) == 0
-        hashes = set()
-        for path in tmp_path.iterdir():
-            if path.suffix == ".json":
-                hashes.add(json.loads(path.read_text())["meta"]["config_hash"])
-            else:
-                hashes.add(path.read_text().splitlines()[0].split("config_hash=")[1])
-        assert hashes == {expected}
+        assert {file_hash(path) for path in tmp_path.iterdir()} == {expected}
 
     @pytest.mark.parametrize(
         "args",
@@ -403,15 +422,10 @@ class TestConfigHash:
     )
     def test_every_file_carries_the_hash_of_its_config(self, tmp_path, args):
         assert run(args, tmp_path) == 0
-        hashes = set()
-        for path in tmp_path.iterdir():
-            if path.suffix == ".json":
-                doc = json.loads(path.read_text())
-                assert config_hash(doc["config"]) == doc["meta"]["config_hash"]
-                hashes.add(doc["meta"]["config_hash"])
-            else:
-                hashes.add(path.read_text().splitlines()[0].split("config_hash=")[1])
-        assert len(hashes) == 1
+        for path in tmp_path.glob("*.json"):
+            doc = json.loads(path.read_text())
+            assert config_hash(doc["config"]) == doc["meta"]["config_hash"]
+        assert len({file_hash(path) for path in tmp_path.iterdir()}) == 1
 
 
 class TestBadInput:
@@ -450,6 +464,8 @@ class TestBadInput:
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--shots", "10",
               "--seed", "-1"], "--seed"),
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--shots", "0"], "--shots"),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "1" + "0" * 400],
+             None),
             (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
               "--omega-ref", "1e6", "--periods", "0"], "--periods"),
             (["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--weight-tol", "1"],
@@ -463,6 +479,7 @@ class TestBadInput:
              "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
              "omega-ref-nan", "edge-cells-zero", "edge-cells-negative",
              "edge-cells-beyond-half-chain", "seed-negative", "shots-zero",
+             "steps-beyond-float",
              "periods-zero", "weight-tol-one", "weight-tol-two"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, args, flag):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import (
     CASE2,
     expectation,
     loop_find_bis,
+    per_step_polarizations,
     random_nonboundary_params,
     spin_state,
 )
@@ -69,10 +71,12 @@ def spinor_oracle(spec):
 def assert_matches_spinor_oracle(spec):
     trace = evolve_polarizations(spec)
     oracle = spinor_oracle(spec)
-    assert trace.s_t.shape == (2, spec.resolution, spec.steps)
-    assert np.max(np.abs(trace.s_t - oracle[:2])) <= 1e-12
-    # the in-plane closed form and the oracle's sigma_z form a unit vector
-    norm = trace.s_t[0] ** 2 + trace.s_t[1] ** 2 + oracle[2] ** 2
+    assert trace.measured.shape == (2, spec.resolution)
+    assert np.max(np.abs(trace.measured - oracle[:2].mean(axis=2))) <= 1e-12
+    s_t = per_step_polarizations(spec)
+    assert np.max(np.abs(s_t - oracle[:2])) <= 1e-12
+    # the in-plane per-step form and the oracle's sigma_z form a unit vector
+    norm = s_t[0] ** 2 + s_t[1] ** 2 + oracle[2] ** 2
     assert np.allclose(norm, 1.0, atol=1e-10)
 
 
@@ -97,12 +101,11 @@ class TestEvolvePolarizations:
 
     def test_stationary_when_initial_state_is_eigenstate(self):
         # SYM1 at k = pi/2 has theta_x = 0, so U = exp(-i theta_y sy) and
-        # the initial -y spin is an eigenstate: the trace stays at -y
+        # the initial -y spin is an eigenstate: the average stays at -y
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=16, resolution=8)
         trace = evolve_polarizations(spec)
         i0 = np.argmin(np.abs(trace.k_grid - 0.5 * np.pi))
-        assert np.allclose(trace.s_t[0, i0], 0.0, atol=1e-12)
-        assert np.allclose(trace.s_t[1, i0], -1.0, atol=1e-12)
+        assert trace.measured[:, i0] == pytest.approx([0.0, -1.0], abs=1e-12)
 
     def test_gapless_grid_point_rejected(self):
         # (2pi, pi/2) at k = 0 gives U = exp(-i 2pi sx) = identity: the
@@ -115,8 +118,31 @@ class TestEvolvePolarizations:
     def test_time_average_is_arithmetic_mean(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=7, resolution=16)
         trace = evolve_polarizations(spec)
-        assert np.array_equal(trace.measured, trace.s_t.mean(axis=2))
+        exact = per_step_polarizations(spec).mean(axis=2)
+        assert np.max(np.abs(trace.measured - exact)) <= 1e-13
         assert np.array_equal(trace.stderr, np.zeros((2, 16)))
+
+    @pytest.mark.parametrize(
+        "tx,ty", [(np.pi - 1e-6, 0.5), (0.5, np.pi - 1e-6), (1e-6, 0.7)]
+    )
+    def test_folded_average_near_a_closing(self, tx, ty, sym_frame):
+        # one grid quasienergy sits 1e-6 from pi or from 0; sin(N E) taken
+        # at E near pi instead of at pi - E reads about 1e-11 off here
+        spec = QuenchSpec(ModelParams(tx, ty), sym_frame, steps=5000, resolution=8)
+        trace = evolve_polarizations(spec)
+        assert np.min(np.minimum(trace.energy, np.pi - trace.energy)) < 2e-6
+        exact = per_step_polarizations(spec).mean(axis=2)
+        assert np.max(np.abs(trace.measured - exact)) <= 1e-12
+
+    def test_memory_does_not_grow_with_steps(self):
+        spec = QuenchSpec(CASE2, Frame.SYM1, steps=100_000, resolution=16)
+        tracemalloc.start()
+        try:
+            evolve_polarizations(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_case1_sym1_average_vanishes_on_inversions(self):
         spec = QuenchSpec(CASE1, Frame.SYM1, steps=60, resolution=512)
@@ -346,7 +372,7 @@ class TestSampledPipeline:
                 spec = QuenchSpec(params, frame, steps=10, resolution=512,
                                   shots=10**6, seed=self.SEED)
                 trace = evolve_polarizations(spec)
-                exact_avg = trace.s_t.mean(axis=2)
+                exact_avg = per_step_polarizations(spec).mean(axis=2)
                 for exact, est, err_hat in zip(exact_avg, trace.measured, trace.stderr):
                     p = (1.0 + np.clip(exact, -1, 1)) / 2.0
                     sigma = 2.0 * np.sqrt(p * (1.0 - p) / spec.shots)
