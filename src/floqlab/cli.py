@@ -46,40 +46,28 @@ def parse_angle(text: str) -> float:
     return value
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
-    return value
+def _checked(name: str, convert, ok, need: str):
+    """An argparse type named `name`: `convert` the text, then reject any
+    value that fails `ok` with "<need>: <text>"."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}: {text}")
+        return value
+
+    check.__name__ = name  # argparse quotes it in "invalid <name> value"
+    return check
 
 
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive: {text}")
-    return value
-
-
-def chain_length(text: str) -> int:
-    value = int(text)
-    if value < MIN_CELLS:
-        raise argparse.ArgumentTypeError(
-            f"need at least {MIN_CELLS} unit cells: {text}")
-    return value
-
-
-def probability(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1: {text}")
-    return value
+positive_int = _checked("positive_int", int, lambda v: v >= 1, "must be a positive integer")
+nonnegative_int = _checked("nonnegative_int", int, lambda v: v >= 0,
+                           "must be a non-negative integer")
+positive_float = _checked("positive_float", float, lambda v: np.isfinite(v) and v > 0,
+                          "must be finite and positive")
+chain_length = _checked("chain_length", int, lambda v: v >= MIN_CELLS,
+                        f"need at least {MIN_CELLS} unit cells")
+probability = _checked("probability", float, lambda v: 0 < v < 1,
+                       "must lie strictly between 0 and 1")
 
 
 def parse_frame(text: str) -> Frame:
@@ -98,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="floqlab", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    # options shared by every command, and by every command at one drive
+    # options shared by every command, then by the commands at one drive,
+    # in one frame, and on one chain
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None,
                         help="JSON file with defaults for this command")
@@ -106,6 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     drive = argparse.ArgumentParser(add_help=False, parents=[common])
     drive.add_argument("--tx", type=parse_angle, required=True)
     drive.add_argument("--ty", type=parse_angle, required=True)
+    framed = argparse.ArgumentParser(add_help=False, parents=[drive])
+    framed.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
+    chain = argparse.ArgumentParser(add_help=False, parents=[framed])
+    chain.add_argument("--length", type=chain_length, default=40, help="unit cells")
+    chain.add_argument("--edge-cells", type=positive_int, default=None)
 
     p = sub.add_parser("phase-diagram", parents=[common],
                        help="invariants over a (tx, ty) grid")
@@ -128,24 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-tol", type=positive_float, default=None)
     p.set_defaults(func=cmd_quench)
 
-    p = sub.add_parser("spectrum", parents=[drive], help="open/periodic lattice eigenphases")
-    p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
-    p.add_argument("--length", type=chain_length, default=40, help="unit cells")
+    p = sub.add_parser("spectrum", parents=[chain], help="open/periodic lattice eigenphases")
     p.add_argument("--boundary", choices=["open", "periodic"], default="open")
-    p.add_argument("--edge-cells", type=positive_int, default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("edges", parents=[drive], help="count 0- and pi-gap edge modes")
-    p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
-    p.add_argument("--length", type=chain_length, default=40)
+    p = sub.add_parser("edges", parents=[chain], help="count 0- and pi-gap edge modes")
     p.add_argument("--e-tol", type=positive_float, default=E_TOL)
-    p.add_argument("--edge-cells", type=positive_int, default=None)
     p.add_argument("--weight-tol", type=probability, default=WEIGHT_TOL)
     p.set_defaults(func=cmd_edges)
 
-    p = sub.add_parser("pulses", parents=[drive], help="compile a frame evolution to pulses")
+    p = sub.add_parser("pulses", parents=[framed], help="compile a frame evolution to pulses")
     p.add_argument("--k", type=parse_angle, required=True)
-    p.add_argument("--frame", type=parse_frame, default=Frame.SYM1)
     p.add_argument("--periods", type=positive_int, default=1)
     p.add_argument("--omega-ref", type=positive_float, required=True,
                    help="reference Rabi rate (rad/s); no physical default")
@@ -181,38 +168,28 @@ def _config_flags(path: Path, command: str, namespace: dict) -> list:
     return flags
 
 
+def _config(args, *names, **derived) -> dict:
+    """The run's hashed config: the command, the named options with the
+    values they took (a frame as its name), and the `derived` entries."""
+    config = {"command": args.command, **derived}
+    for name in names:
+        value = getattr(args, name)
+        config[name] = value.value if isinstance(value, Frame) else value
+    return config
+
+
 def cmd_phase_diagram(args) -> int:
-    cfg = {
-        "command": "phase-diagram",
-        "tx_range": [args.tx_min, args.tx_max],
-        "ty_range": [args.ty_min, args.ty_max],
-        "cells": args.cells,
-        "resolution": args.resolution,
-        "boundary_tol": args.boundary_tol,
-    }
-    diagram = phase_diagram(
-        (args.tx_min, args.tx_max),
-        (args.ty_min, args.ty_max),
-        cells=args.cells,
-        resolution=args.resolution,
-        boundary_tol=args.boundary_tol,
-    )
+    cfg = _config(args, "cells", "resolution", "boundary_tol",
+                  tx_range=[args.tx_min, args.tx_max], ty_range=[args.ty_min, args.ty_max])
+    diagram = phase_diagram((args.tx_min, args.tx_max), (args.ty_min, args.ty_max),
+                            cells=args.cells, resolution=args.resolution,
+                            boundary_tol=args.boundary_tol)
     rows = [
-        (
-            c.tx,
-            c.ty,
-            *(("", "") if c.invariants is None else (c.invariants.nu0, c.invariants.nu_pi)),
-            int(c.boundary),
-            c.min_gap0,
-            c.min_gap_pi,
-        )
+        (c.tx, c.ty,
+         *(("", "") if c.invariants is None else (c.invariants.nu0, c.invariants.nu_pi)),
+         int(c.boundary), c.min_gap0, c.min_gap_pi)
         for c in diagram.cells
     ]
-    counts = Counter(
-        f"({c.invariants.nu0},{c.invariants.nu_pi})"
-        for c in diagram.cells
-        if c.invariants is not None
-    )
     write_csv(
         args.output_dir / "phase_diagram.csv",
         ["t_x", "t_y", "nu0", "nu_pi", "boundary_flag", "min_gap0", "min_gap_pi"],
@@ -222,29 +199,20 @@ def cmd_phase_diagram(args) -> int:
     write_json(
         args.output_dir / "phase_diagram.json",
         {
-            "cells_total": len(diagram.cells),
-            "cells_boundary": sum(c.boundary for c in diagram.cells),
-            "phase_counts": counts,
+            "cells_total": len(rows),
+            "cells_boundary": sum(row[4] for row in rows),
+            "phase_counts": Counter(f"({row[2]},{row[3]})" for row in rows if row[2] != ""),
         },
         cfg,
     )
-    print(f"phase diagram: {len(diagram.cells)} cells -> {args.output_dir}")
+    print(f"phase diagram: {len(rows)} cells -> {args.output_dir}")
     return 0
 
 
 def cmd_quench(args) -> int:
     frames = [Frame.SYM1, Frame.SYM2] if args.frame == "both" else [Frame(args.frame)]
-    cfg = {
-        "command": "quench",
-        "tx": args.tx,
-        "ty": args.ty,
-        "frames": [f.value for f in frames],
-        "steps": args.steps,
-        "grid": args.grid,
-        "shots": args.shots,
-        "seed": args.seed,
-        "floor_tol": args.floor_tol,
-    }
+    cfg = _config(args, "tx", "ty", "steps", "grid", "shots", "seed", "floor_tol",
+                  frames=[f.value for f in frames])
     params = ModelParams(args.tx, args.ty)
     # A run leaves only its own files, also when it exits 1 or 2.
     for name in ("quench_sym1.csv", "quench_sym2.csv", "bis_report.json"):
@@ -305,48 +273,23 @@ def _write_spectrum_csv(output_dir: Path, frame: Frame, spectrum, cfg: dict) -> 
     write_csv(
         output_dir / f"spectrum_{frame.value}.csv",
         ["index", "phase", "edge_weight_left", "edge_weight_right"],
-        [
-            (i, float(spectrum.phases[i]),
-             float(spectrum.edge_weight_left[i]), float(spectrum.edge_weight_right[i]))
-            for i in range(len(spectrum.phases))
-        ],
+        zip(range(len(spectrum.phases)), spectrum.phases.tolist(),
+            spectrum.edge_weight_left.tolist(), spectrum.edge_weight_right.tolist()),
         cfg,
     )
 
 
 def cmd_spectrum(args) -> int:
-    cfg = {
-        "command": "spectrum",
-        "tx": args.tx,
-        "ty": args.ty,
-        "frame": args.frame.value,
-        "length": args.length,
-        "boundary": args.boundary,
-        "edge_cells": args.edge_cells,
-    }
-    spectrum = lattice_spectrum(
-        ModelParams(args.tx, args.ty),
-        args.frame,
-        args.length,
-        args.boundary,
-        args.edge_cells,
-    )
+    cfg = _config(args, "tx", "ty", "frame", "length", "boundary", "edge_cells")
+    spectrum = lattice_spectrum(ModelParams(args.tx, args.ty), args.frame, args.length,
+                                args.boundary, args.edge_cells)
     _write_spectrum_csv(args.output_dir, args.frame, spectrum, cfg)
     print(f"spectrum: {len(spectrum.phases)} states -> {args.output_dir}")
     return 0
 
 
 def cmd_edges(args) -> int:
-    cfg = {
-        "command": "edges",
-        "tx": args.tx,
-        "ty": args.ty,
-        "frame": args.frame.value,
-        "length": args.length,
-        "e_tol": args.e_tol,
-        "edge_cells": args.edge_cells,
-        "weight_tol": args.weight_tol,
-    }
+    cfg = _config(args, "tx", "ty", "frame", "length", "e_tol", "edge_cells", "weight_tol")
     params = ModelParams(args.tx, args.ty)
     # as in cmd_quench; cmd_spectrum writes the same spectrum_<frame>.csv
     for name in ["edges.json", *(f"spectrum_{f.value}.csv" for f in Frame)]:
@@ -366,20 +309,12 @@ def cmd_edges(args) -> int:
 
 
 def cmd_pulses(args) -> int:
-    cfg = {
-        "command": "pulses",
-        "tx": args.tx,
-        "ty": args.ty,
-        "k": args.k,
-        "frame": args.frame.value,
-        "periods": args.periods,
-        "omega_ref": args.omega_ref,
-        "elide_zero": not args.keep_zero_pulses,
-    }
+    cfg = _config(args, "tx", "ty", "k", "frame", "periods", "omega_ref", "verify",
+                  elide_zero=not args.keep_zero_pulses)
     params = ModelParams(args.tx, args.ty)
     schedule = compile_schedule(
         args.k, params, args.frame, args.periods, args.omega_ref,
-        elide_zero=not args.keep_zero_pulses,
+        elide_zero=cfg["elide_zero"],
     )
     payload = schedule.to_dict()
     status = 0

@@ -52,6 +52,9 @@ class QuenchSpec:
         self.frame.quench_axis  # raises for the plain frame
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        # evolve_polarizations forms (steps + 1) * d with d <= pi/2
+        if not np.isfinite((self.steps + 1) * (np.pi / 2)):
+            raise ValueError("steps too large: (steps + 1) * pi/2 is not a finite float")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1")
 

@@ -7,8 +7,9 @@ config it was written under; JSON files also carry the config under
 with the only timestamp written anywhere); CSV files start with a single
 `#`-comment line, so identical config and seed reproduce byte-identical
 CSVs.  The hashed config holds every option of the command with the value
-it took, defaults included, so moving a default moves the hash.  Both
-writers create the file's directory.
+it took, defaults included, so moving a default moves the hash.  Only
+--output-dir is left out, and --config, whose values are hashed as the
+options they set.  Both writers create the file's directory.
 """
 
 import csv

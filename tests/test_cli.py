@@ -398,13 +398,64 @@ class TestConfigHash:
             (["spectrum", "--tx", "0.5pi", "--ty", "0.5pi"], "b787c9345495f581"),
             (["edges", "--tx", "0.5pi", "--ty", "0.5pi"], "48f00952a1d43189"),
             (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
-              "--omega-ref", "1e6", "--verify"], "192f086a284e5c85"),
+              "--omega-ref", "1e6", "--verify"], "a69b60d283925af5"),
         ],
         ids=["phase-diagram", "quench", "spectrum", "edges", "pulses"],
     )
     def test_defaults_keep_their_hash(self, tmp_path, args, expected):
         assert run(args, tmp_path) == 0
         assert {file_hash(path) for path in tmp_path.iterdir()} == {expected}
+
+    def test_verify_moves_the_pulses_hash(self, tmp_path):
+        # only a verified schedule holds verify_distance, and only it can exit 3
+        point = ["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
+                 "--omega-ref", "1e6"]
+        assert run(point, tmp_path / "plain") == 0
+        assert run([*point, "--verify"], tmp_path / "verified") == 0
+        plain, verified = (file_hash(tmp_path / out / "schedule.json")
+                           for out in ("plain", "verified"))
+        assert plain != verified
+
+    # every option off its default, tx != ty and unequal ranges, so a config
+    # that crossed two options would move the hash; each dict is the config
+    # these runs wrote while cli.py spelled every config out by hand, plus
+    # the "verify" that pulses has hashed since
+    @pytest.mark.parametrize(
+        "args,config",
+        [
+            (["phase-diagram", "--tx-min", "0.1", "--tx-max", "0.2pi", "--ty-min", "0.3",
+              "--ty-max", "0.9pi", "--cells", "2", "--resolution", "256",
+              "--boundary-tol", "1e-3"],
+             {"command": "phase-diagram", "tx_range": [0.1, 0.6283185307179586],
+              "ty_range": [0.3, 2.827433388230814], "cells": 2, "resolution": 256,
+              "boundary_tol": 0.001}),
+            (["quench", "--tx", "2.5pi", "--ty", "0.5pi", "--frame", "sym2", "--steps", "10",
+              "--grid", "128", "--shots", "1000", "--seed", "4", "--floor-tol", "0.05"],
+             {"command": "quench", "tx": 7.853981633974483, "ty": 1.5707963267948966,
+              "frames": ["sym2"], "steps": 10, "grid": 128, "shots": 1000, "seed": 4,
+              "floor_tol": 0.05}),
+            (["spectrum", "--tx", "2.5pi", "--ty", "0.5pi", "--frame", "sym2", "--length", "8",
+              "--boundary", "periodic", "--edge-cells", "2"],
+             {"command": "spectrum", "tx": 7.853981633974483, "ty": 1.5707963267948966,
+              "frame": "sym2", "length": 8, "boundary": "periodic", "edge_cells": 2}),
+            (["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--frame", "sym2", "--length", "30",
+              "--e-tol", "1e-6", "--edge-cells", "3", "--weight-tol", "0.6"],
+             {"command": "edges", "tx": 7.853981633974483, "ty": 1.5707963267948966,
+              "frame": "sym2", "length": 30, "e_tol": 1e-06, "edge_cells": 3,
+              "weight_tol": 0.6}),
+            (["pulses", "--tx", "2.5pi", "--ty", "0.5pi", "--k", "0.3pi", "--frame", "sym2",
+              "--periods", "3", "--omega-ref", "2e6", "--keep-zero-pulses", "--verify"],
+             {"command": "pulses", "tx": 7.853981633974483, "ty": 1.5707963267948966,
+              "k": 0.9424777960769379, "frame": "sym2", "periods": 3,
+              "omega_ref": 2000000.0, "elide_zero": False, "verify": True}),
+        ],
+        ids=["phase-diagram", "quench", "spectrum", "edges", "pulses"],
+    )
+    def test_options_off_default_keep_their_config(self, tmp_path, args, config):
+        assert run(args, tmp_path) == 0
+        assert {file_hash(path) for path in tmp_path.iterdir()} == {config_hash(config)}
+        for path in tmp_path.glob("*.json"):
+            assert json.loads(path.read_text())["config"] == config
 
     @pytest.mark.parametrize(
         "args",
@@ -466,6 +517,8 @@ class TestBadInput:
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--shots", "0"], "--shots"),
             (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "1" + "0" * 400],
              None),
+            (["quench", "--tx", "0.5pi", "--ty", "0.5pi", "--steps", "17" + "0" * 307],
+             None),
             (["pulses", "--tx", "0.5pi", "--ty", "0.5pi", "--k", "0.25pi",
               "--omega-ref", "1e6", "--periods", "0"], "--periods"),
             (["edges", "--tx", "2.5pi", "--ty", "0.5pi", "--weight-tol", "1"],
@@ -479,7 +532,7 @@ class TestBadInput:
              "boundary-tol-nan", "e-tol-negative", "weight-tol-inf",
              "omega-ref-nan", "edge-cells-zero", "edge-cells-negative",
              "edge-cells-beyond-half-chain", "seed-negative", "shots-zero",
-             "steps-beyond-float",
+             "steps-beyond-float", "steps-near-float-max",
              "periods-zero", "weight-tol-one", "weight-tol-two"],
     )
     def test_exits_1_with_message(self, tmp_path, capsys, args, flag):
@@ -492,6 +545,7 @@ class TestBadInput:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         if flag is not None:
             assert f"argument {flag}:" in err
+        assert not any(tmp_path.iterdir())  # a rejected run writes no output
 
     def test_missing_required_flag_exits_1(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
